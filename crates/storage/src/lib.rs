@@ -11,7 +11,7 @@
 //!   nothing survives a crash;
 //! * [`LogEngine`]: an append-only record log in the spirit of bitcask —
 //!   varint-framed, checksummed records reusing the [`dvv::encode`]
-//!   codecs, an in-memory key→offset index, batched group-sync with a
+//!   codecs, an in-memory key→record-length index, batched group-sync with a
 //!   configurable durability interval, and size-triggered compaction
 //!   that rewrites live records and truncates the dead tail. Opening a
 //!   log replays it (tolerating a torn final record) so a crashed

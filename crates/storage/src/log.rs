@@ -37,8 +37,8 @@
 //!
 //! ## Compaction
 //!
-//! The in-memory key→offset index tracks the latest durable record per
-//! key, so `live_bytes` (latest records) vs `durable_bytes` (the whole
+//! The in-memory index tracks the length of the latest durable record
+//! per key, so `live_bytes` (latest records) vs `durable_bytes` (the whole
 //! file) measures garbage exactly. When the file exceeds
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
 //! [`LogConfig::compact_garbage_ratio`], the engine rewrites the live
@@ -124,15 +124,6 @@ pub struct LogStats {
     pub torn_tail_bytes: u64,
 }
 
-/// Latest durable record location for one key.
-#[derive(Clone, Copy, Debug)]
-struct RecordSpan {
-    #[allow(dead_code)]
-    // offset is the index's raison d'être for point reads; kept for debug dumps
-    offset: u64,
-    len: u64,
-}
-
 /// What a buffered (not yet durable) record will do to the index once
 /// its group sync lands.
 enum PendingOp {
@@ -182,8 +173,9 @@ pub struct LogEngine<S> {
     /// The working set: every live key's current state, always in sync
     /// with the durable log plus the pending buffer.
     map: BTreeMap<Key, S>,
-    /// key → latest *durable* record (drives garbage accounting).
-    index: BTreeMap<Key, RecordSpan>,
+    /// key → byte length of its latest *durable* record (drives
+    /// garbage accounting; states are read from `map`).
+    index: BTreeMap<Key, u64>,
     file: File,
     path: PathBuf,
     cfg: LogConfig,
@@ -417,21 +409,15 @@ where
             let len = (next - at) as u64;
             match record {
                 Record::Put { key, state } => {
-                    if let Some(old) = index.insert(
-                        key.clone(),
-                        RecordSpan {
-                            offset: at as u64,
-                            len,
-                        },
-                    ) {
-                        live_bytes -= old.len;
+                    if let Some(old) = index.insert(key.clone(), len) {
+                        live_bytes -= old;
                     }
                     live_bytes += len;
                     map.insert(key, state);
                 }
                 Record::Remove { key } => {
                     if let Some(old) = index.remove(&key) {
-                        live_bytes -= old.len;
+                        live_bytes -= old;
                     }
                     map.remove(&key);
                 }
@@ -528,34 +514,32 @@ where
             .expect("log append write");
         self.file.sync_data().expect("log append sync");
         self.stats.syncs += 1;
-        let mut offset = self.durable_bytes;
+        let mut appended = 0;
         for op in self.pending_ops.drain(..) {
-            match op {
+            appended += match op {
                 PendingOp::Put { key, len } => {
-                    if let Some(old) = self.index.insert(key, RecordSpan { offset, len }) {
-                        self.live_bytes -= old.len;
+                    if let Some(old) = self.index.insert(key, len) {
+                        self.live_bytes -= old;
                     }
                     self.live_bytes += len;
-                    offset += len;
+                    len
                 }
                 PendingOp::Remove { key, len } => {
                     if let Some(old) = self.index.remove(&key) {
-                        self.live_bytes -= old.len;
+                        self.live_bytes -= old;
                     }
-                    offset += len;
+                    len
                 }
                 PendingOp::Clear { len } => {
                     self.index.clear();
                     self.live_bytes = 0;
-                    offset += len;
+                    len
                 }
-                PendingOp::Meta { len } => {
-                    offset += len;
-                }
-            }
+                PendingOp::Meta { len } => len,
+            };
         }
+        debug_assert_eq!(appended, self.pending.len() as u64);
         self.durable_bytes += self.pending.len() as u64;
-        debug_assert_eq!(offset, self.durable_bytes);
         self.pending.clear();
         self.maybe_compact();
     }
@@ -578,11 +562,10 @@ where
             frame_meta(&mut buf, epoch, ceiling);
         }
         for (key, state) in &self.map {
-            let offset = buf.len() as u64;
             self.scratch.clear();
             (self.codec.enc)(state, &mut self.scratch);
             let len = frame_record(&mut buf, TAG_PUT, key, Some(&self.scratch));
-            index.insert(key.clone(), RecordSpan { offset, len });
+            index.insert(key.clone(), len);
         }
         let tmp = self.path.with_extension("compact");
         let write = (|| -> io::Result<File> {

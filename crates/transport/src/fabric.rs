@@ -1,30 +1,41 @@
 //! The socket fabric: listeners, reconnecting per-peer links, and the
-//! fleet-wide byte ledger.
+//! fleet-wide byte ledger — all driven by the nodes' own threads.
 //!
 //! Every node owns a loopback TCP listener; messages between distinct
 //! nodes travel as [`frame`](crate::frame)-encoded
 //! `Msg::encode_transport` bodies over per-`(sender, receiver)`
-//! connections dialed lazily on first send. Each link has:
+//! connections dialed lazily on first send. The fabric spawns no
+//! thread. Each node has an *endpoint* — its nonblocking listener, its
+//! inbound connections and its outbound links — and the node's own
+//! thread drives it with [`Fabric::pump`]: one `poll(2)` over the
+//! endpoint's sockets, then accepting, reading and writing whatever is
+//! ready. A frame therefore costs the sender one `write` and the
+//! receiver one wake-up from `poll`, with no hand-off between threads.
 //!
-//! * a bounded outbound queue — a full queue drops the frame, exactly
-//!   the threaded runtime's full-inbox wire-loss semantics, so a slow
-//!   or dead peer can never deadlock a sender;
-//! * a writer thread that dials, introduces itself with an
-//!   *authenticated* hello frame — its node id plus a keyed FNV-1a tag
-//!   over the fleet's shared cluster secret ([`hello_body`]) — and
-//!   reconnects with jittered exponential backoff whenever the
-//!   connection breaks (the frames lost in between are wire loss the
-//!   protocol's retries and anti-entropy absorb). The accept side
+//! Each outbound link has:
+//!
+//! * a bounded buffer of at most `queue_capacity` frames — a full
+//!   buffer drops the frame, exactly the threaded runtime's full-inbox
+//!   wire-loss semantics, so a slow or dead peer can never block a
+//!   sender; `pump` writes the buffer out with nonblocking writes;
+//! * a connection that introduces itself with an *authenticated* hello
+//!   frame — its node id plus a keyed FNV-1a tag over the fleet's
+//!   shared cluster secret ([`hello_body`]) — and is redialed at once
+//!   when it breaks, then with jittered exponential backoff while dials
+//!   fail (a frame cut in half by the break is lost, `io_lost`; frames
+//!   not yet started wait for the next connection). The accept side
 //!   verifies the tag in constant time and terminally rejects the
 //!   connection on any mismatch, so a stray process dialing a
 //!   listener's port cannot inject frames attributed to a cluster
 //!   member.
 //!
-//! Inbound, an accept thread per listener spawns a reader per
-//! connection; a malformed frame (torn, oversized, bad checksum) or an
+//! Inbound, each connection feeds an incremental
+//! [`Unframer`](crate::frame::Unframer); decoded messages go into the
+//! node's bounded inbox, and a full inbox drops the message, matching
+//! the runtime. A malformed frame (torn, oversized, bad checksum) or an
 //! undecodable body kills that connection — a stream decoder cannot
-//! resync after corruption — and the dialer's backoff takes it from
-//! there. A full node inbox drops the message, matching the runtime.
+//! resync after corruption — and the dialer's redial takes it from
+//! there.
 //!
 //! The fabric keeps an atomic ledger of every byte it handles, split by
 //! fate (written / queued / dropped / self-delivered / hello), so the
@@ -33,14 +44,13 @@
 //! byte — the accounting the simulator models is the accounting the
 //! socket driver measures.
 
-use std::collections::HashMap;
-use std::io::BufWriter;
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Duration as StdDuration;
+use std::sync::mpsc::{SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration as StdDuration, Instant};
 
 use dvv::mechanisms::WireMechanism;
 use kvstore::messages::Msg;
@@ -49,14 +59,18 @@ use runtime::Progress;
 use simnet::{NodeId, SimRng};
 use storage::fnv1a64;
 
-use crate::frame::{self, HEADER_BYTES};
+use crate::frame::{self, Unframer, HEADER_BYTES};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 
 /// Initial reconnect backoff.
 const BACKOFF_BASE_MS: u64 = 1;
 /// Backoff cap (before jitter).
 const BACKOFF_CAP_MS: u64 = 128;
-/// Writer queue poll interval while idle (bounds shutdown latency).
-const WRITER_POLL: StdDuration = StdDuration::from_millis(25);
+/// Cap on one dial. A loopback connect to a live listener completes at
+/// once; this bounds the stall if the listener's backlog is full.
+const DIAL_TIMEOUT: StdDuration = StdDuration::from_millis(50);
+/// Bytes asked of an inbound connection per `read`.
+const READ_CHUNK: usize = 16 << 10;
 
 /// Bytes in an authenticated hello body: 4-byte node id + 8-byte tag.
 const HELLO_LEN: usize = 12;
@@ -109,19 +123,20 @@ pub type InPacket<M> = (NodeId, Msg<M>);
 /// still queued (or lost to a broken connection) at snapshot time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Frames accepted into an outbound queue.
+    /// Frames accepted into an outbound buffer.
     pub enqueued_frames: u64,
-    /// Bytes (header included) accepted into an outbound queue.
+    /// Bytes (header included) accepted into an outbound buffer.
     pub enqueued_bytes: u64,
     /// Frames actually written to a socket.
     pub written_frames: u64,
     /// Bytes (header included) actually written to a socket.
     pub written_bytes: u64,
-    /// Frames dropped at enqueue: queue full or link torn down.
+    /// Frames dropped at enqueue: buffer full or fabric shut down.
     pub dropped_frames: u64,
     /// Bytes dropped at enqueue.
     pub dropped_bytes: u64,
-    /// Frames lost after dequeue to a failed socket write.
+    /// Frames lost to a connection that broke while they were being
+    /// written.
     pub io_lost_frames: u64,
     /// Self-sends delivered locally, bypassing the sockets.
     pub self_frames: u64,
@@ -174,16 +189,62 @@ struct Counters {
     inbox_drops: AtomicU64,
 }
 
-/// Outbound link registry: `(from, to)` → that link's frame queue.
-type Links = HashMap<(usize, usize), SyncSender<Vec<u8>>>;
+/// Adds `by` to a ledger counter.
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
 
-/// Live socket registry entry: enough to sever the connection from
-/// outside (fault injection, shutdown).
-struct Conn {
-    /// Either endpoint's node index (dialer side knows both; accept
-    /// side knows the peer only after the hello).
-    nodes: (usize, usize),
+/// One node's sockets: everything its thread polls.
+#[derive(Default)]
+struct Endpoint {
+    listener: Option<TcpListener>,
+    inbound: Vec<Inbound>,
+    /// Outbound links by destination node, created on first send.
+    links: Vec<Option<Link>>,
+}
+
+/// An accepted connection.
+struct Inbound {
     stream: TcpStream,
+    /// The authenticated dialer, once its hello has passed.
+    from: Option<usize>,
+    unframer: Unframer,
+    /// Cleared when the connection dies; the endpoint then forgets it.
+    open: bool,
+}
+
+/// One directed link `node → to`: its frame buffer and, while
+/// connected, its socket.
+struct Link {
+    stream: Option<TcpStream>,
+    /// Queued frames back to back; `buf[sent..]` is not yet written.
+    buf: Vec<u8>,
+    sent: usize,
+    /// Byte length of every frame not yet fully written, oldest first.
+    /// Never longer than the fabric's `queue_capacity`.
+    frames: VecDeque<usize>,
+    /// Bytes of `frames[0]` already written.
+    head_written: usize,
+    /// While disconnected: when to dial next.
+    redial_at: Instant,
+    backoff_ms: u64,
+    connected_before: bool,
+    /// Backoff jitter stream.
+    rng: SimRng,
+}
+
+impl Link {
+    fn pending(&self) -> bool {
+        self.sent < self.buf.len()
+    }
+}
+
+/// What a polled descriptor belongs to.
+#[derive(Clone, Copy)]
+enum Slot {
+    Listener,
+    Inbound(usize),
+    Link(usize),
 }
 
 /// The shared socket layer of a [`SocketFleet`](crate::fleet::SocketFleet).
@@ -194,10 +255,7 @@ pub struct Fabric<M: WireMechanism<StampedValue>> {
     progress: Arc<Progress>,
     shutdown: Arc<AtomicBool>,
     counters: Counters,
-    links: Mutex<Links>,
-    conns: Mutex<HashMap<u64, Conn>>,
-    next_conn: AtomicU64,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    endpoints: Vec<Mutex<Endpoint>>,
     rng_root: SimRng,
     queue_capacity: usize,
     max_frame: usize,
@@ -217,6 +275,52 @@ where
 }
 
 impl<M: WireMechanism<StampedValue>> Fabric<M> {
+    /// Binds one nonblocking loopback listener per node and returns the
+    /// shared fabric. `inboxes[i]` receives decoded messages addressed
+    /// to node `i`; `rng_root` seeds the per-link backoff jitter
+    /// streams; `secret` keys the hello challenge every inbound
+    /// connection must pass. Nothing moves until the nodes are pumped
+    /// ([`pump`](Self::pump)).
+    #[allow(clippy::too_many_arguments)] // the fleet's one construction site
+    pub fn start(
+        mech: M,
+        nodes: usize,
+        inboxes: Vec<SyncSender<InPacket<M>>>,
+        progress: Arc<Progress>,
+        shutdown: Arc<AtomicBool>,
+        rng_root: SimRng,
+        queue_capacity: usize,
+        max_frame: usize,
+        secret: u64,
+    ) -> std::io::Result<Arc<Self>> {
+        assert_eq!(inboxes.len(), nodes, "one inbox per node");
+        let mut addrs = Vec::with_capacity(nodes);
+        let mut endpoints = Vec::with_capacity(nodes);
+        for _ in 0..nodes {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            listener.set_nonblocking(true)?;
+            addrs.push(listener.local_addr()?);
+            endpoints.push(Mutex::new(Endpoint {
+                listener: Some(listener),
+                inbound: Vec::new(),
+                links: (0..nodes).map(|_| None).collect(),
+            }));
+        }
+        Ok(Arc::new(Fabric {
+            mech,
+            addrs,
+            inboxes,
+            progress,
+            shutdown,
+            counters: Counters::default(),
+            endpoints,
+            rng_root,
+            queue_capacity,
+            max_frame,
+            secret,
+        }))
+    }
+
     /// The listen address of node `i` (loopback, ephemeral port).
     pub fn addr(&self, i: usize) -> SocketAddr {
         self.addrs[i]
@@ -247,97 +351,33 @@ impl<M: WireMechanism<StampedValue>> Fabric<M> {
             inbox_drops: ld(&c.inbox_drops),
         }
     }
-}
 
-impl<M> Fabric<M>
-where
-    M: WireMechanism<StampedValue> + Send + Sync + 'static,
-    M::State: Send,
-    M::Context: Send,
-{
-    /// Binds one loopback listener per node, spawns the accept threads,
-    /// and returns the shared fabric. `inboxes[i]` receives decoded
-    /// messages addressed to node `i`; `rng_root` seeds the per-link
-    /// backoff jitter streams; `secret` keys the hello challenge every
-    /// inbound connection must pass.
-    #[allow(clippy::too_many_arguments)] // the fleet's one construction site
-    pub fn start(
-        mech: M,
-        nodes: usize,
-        inboxes: Vec<SyncSender<InPacket<M>>>,
-        progress: Arc<Progress>,
-        shutdown: Arc<AtomicBool>,
-        rng_root: SimRng,
-        queue_capacity: usize,
-        max_frame: usize,
-        secret: u64,
-    ) -> std::io::Result<Arc<Self>> {
-        assert_eq!(inboxes.len(), nodes, "one inbox per node");
-        let mut listeners = Vec::with_capacity(nodes);
-        let mut addrs = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(l.local_addr()?);
-            listeners.push(l);
-        }
-        let fabric = Arc::new(Fabric {
-            mech,
-            addrs,
-            inboxes,
-            progress,
-            shutdown,
-            counters: Counters::default(),
-            links: Mutex::new(HashMap::new()),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            threads: Mutex::new(Vec::new()),
-            rng_root,
-            queue_capacity,
-            max_frame,
-            secret,
-        });
-        for (node, listener) in listeners.into_iter().enumerate() {
-            let f = Arc::clone(&fabric);
-            let h = thread::spawn(move || f.accept_loop(node, listener));
-            fabric.threads.lock().expect("threads lock").push(h);
-        }
-        Ok(fabric)
+    fn endpoint(&self, node: usize) -> MutexGuard<'_, Endpoint> {
+        self.endpoints[node].lock().expect("endpoint lock")
     }
 
-    /// Queues an encoded message body for transmission `from → to`,
-    /// dialing the link on first use. A full (or torn-down) queue drops
-    /// the frame — wire loss, charged to the ledger as `dropped`.
-    pub fn send_bytes(self: &Arc<Self>, from: usize, to: usize, body: Vec<u8>) {
-        let bytes = (body.len() + HEADER_BYTES) as u64;
-        let tx = {
-            let mut links = self.links.lock().expect("links lock");
-            if self.shutdown.load(Ordering::Relaxed) {
-                self.counters.dropped_frames.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .dropped_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-                return;
+    /// Queues an encoded message body for transmission `from → to`; the
+    /// link is dialed and the frame written when `from` is next pumped.
+    /// A full buffer (or a shut-down fabric) drops the frame — wire
+    /// loss, charged to the ledger as `dropped`. Never blocks on I/O.
+    pub fn send_bytes(&self, from: usize, to: usize, body: Vec<u8>) {
+        let bytes = body.len() + HEADER_BYTES;
+        let queued = !self.shutdown.load(Ordering::Relaxed) && {
+            let mut ep = self.endpoint(from);
+            let link = ep.links[to].get_or_insert_with(|| self.new_link(from, to));
+            link.frames.len() < self.queue_capacity && {
+                frame::append_frame(&mut link.buf, &body);
+                link.frames.push_back(bytes);
+                true
             }
-            links
-                .entry((from, to))
-                .or_insert_with(|| self.spawn_writer(from, to))
-                .clone()
         };
-        match tx.try_send(body) {
-            Ok(()) => {
-                self.counters
-                    .enqueued_frames
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .enqueued_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.counters.dropped_frames.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .dropped_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-            }
+        let c = &self.counters;
+        if queued {
+            bump(&c.enqueued_frames, 1);
+            bump(&c.enqueued_bytes, bytes as u64);
+        } else {
+            bump(&c.dropped_frames, 1);
+            bump(&c.dropped_bytes, bytes as u64);
         }
     }
 
@@ -345,21 +385,30 @@ where
     /// touches a socket, but its charged bytes must still balance the
     /// ledger identity).
     pub fn note_self(&self, wire_bytes: usize) {
-        self.counters.self_frames.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .self_bytes
-            .fetch_add(wire_bytes as u64, Ordering::Relaxed);
+        bump(&self.counters.self_frames, 1);
+        bump(&self.counters.self_bytes, wire_bytes as u64);
     }
 
     /// Severs every live connection touching `node` (both directions).
-    /// Readers see a torn stream and exit; dialers reconnect with
-    /// backoff. Returns how many connections were killed.
+    /// Their owners see the break on their next pump; dialers redial.
+    /// Returns how many connections were killed.
     pub fn kill_node_connections(&self, node: usize) -> usize {
-        let conns = self.conns.lock().expect("conns lock");
         let mut killed = 0;
-        for c in conns.values() {
-            if c.nodes.0 == node || c.nodes.1 == node {
-                let _ = c.stream.shutdown(Shutdown::Both);
+        for (owner, ep) in self.endpoints.iter().enumerate() {
+            let ep = ep.lock().expect("endpoint lock");
+            let inbound = ep
+                .inbound
+                .iter()
+                .filter(|c| c.open && c.from.is_some_and(|f| owner == node || f == node))
+                .map(|c| &c.stream);
+            let outbound = ep
+                .links
+                .iter()
+                .enumerate()
+                .filter(|(to, _)| owner == node || *to == node)
+                .filter_map(|(_, l)| l.as_ref()?.stream.as_ref());
+            for stream in inbound.chain(outbound) {
+                let _ = stream.shutdown(Shutdown::Both);
                 killed += 1;
             }
         }
@@ -367,183 +416,242 @@ where
     }
 
     /// Tears the fabric down: requires the shared shutdown flag to be
-    /// set, severs every connection, unblocks the accept loops, drops
-    /// the outbound queues and joins every fabric thread.
+    /// set (which stops pumping and sending), then closes every
+    /// listener and connection. Frames still buffered are abandoned.
     pub fn stop(&self) {
         assert!(
             self.shutdown.load(Ordering::Relaxed),
             "set the shared shutdown flag before Fabric::stop"
         );
-        // Sever live connections so blocked readers/writers error out.
+        for ep in &self.endpoints {
+            *ep.lock().expect("endpoint lock") = Endpoint::default();
+        }
+    }
+
+    /// Drives node `node`'s sockets once. Redials links whose backoff
+    /// has passed and writes what the kernel takes of every buffer;
+    /// then waits in `poll(2)`, up to `timeout` (rounded up to whole
+    /// milliseconds, and cut short by a pending redial), for any of the
+    /// node's sockets; then accepts and authenticates new connections,
+    /// reads and decodes frames into the node's inbox, finishes writes
+    /// and notices broken links. Returns the messages delivered into
+    /// the inbox.
+    ///
+    /// One thread at a time pumps a given node — in a
+    /// [`SocketFleet`](crate::fleet::SocketFleet), the node's own.
+    /// Sends may come from any thread. After shutdown it returns 0 at
+    /// once.
+    pub fn pump(&self, node: usize, timeout: StdDuration) -> usize {
+        let mut fds = Vec::new();
+        let mut slots = Vec::new();
+        let mut wait = timeout;
         {
-            let conns = self.conns.lock().expect("conns lock");
-            for c in conns.values() {
-                let _ = c.stream.shutdown(Shutdown::Both);
-            }
-        }
-        // Unblock each accept loop with a throwaway connection.
-        for addr in &self.addrs {
-            let _ = TcpStream::connect(*addr);
-        }
-        // Drop the queue senders so writer threads see Disconnected.
-        self.links.lock().expect("links lock").clear();
-        // Threads may still be spawning readers while we join; drain
-        // until the registry stays empty.
-        loop {
-            let handles: Vec<JoinHandle<()>> =
-                std::mem::take(&mut *self.threads.lock().expect("threads lock"));
-            if handles.is_empty() {
-                return;
-            }
-            for h in handles {
-                let _ = h.join();
-            }
-        }
-    }
-
-    fn register_conn(&self, nodes: (usize, usize), stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let token = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.conns.lock().expect("conns lock").insert(
-            token,
-            Conn {
-                nodes,
-                stream: clone,
-            },
-        );
-        Some(token)
-    }
-
-    fn unregister_conn(&self, token: Option<u64>) {
-        if let Some(t) = token {
-            self.conns.lock().expect("conns lock").remove(&t);
-        }
-    }
-
-    /// Spawns the writer thread for link `from → to` and returns its
-    /// queue sender.
-    fn spawn_writer(self: &Arc<Self>, from: usize, to: usize) -> SyncSender<Vec<u8>> {
-        let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(self.queue_capacity);
-        let f = Arc::clone(self);
-        let n = self.addrs.len() as u64;
-        let rng = self
-            .rng_root
-            .fork_indexed("link", from as u64 * n + to as u64);
-        let h = thread::spawn(move || f.writer_loop(from, to, rx, rng));
-        self.threads.lock().expect("threads lock").push(h);
-        tx
-    }
-
-    /// Dial → hello → drain queue → (on error) reconnect with jittered
-    /// exponential backoff. Frames dequeued onto a dying connection are
-    /// lost (`io_lost`); frames that cannot even be enqueued were
-    /// already dropped at the sender.
-    fn writer_loop(&self, from: usize, to: usize, rx: Receiver<Vec<u8>>, mut rng: SimRng) {
-        let addr = self.addrs[to];
-        let mut backoff_ms = BACKOFF_BASE_MS;
-        let mut connected_before = false;
-        'dial: loop {
+            let mut ep = self.endpoint(node);
             if self.shutdown.load(Ordering::Relaxed) {
-                return;
+                return 0;
             }
-            let stream = match TcpStream::connect(addr) {
-                Ok(s) => s,
-                Err(_) => {
-                    let jitter = rng.range_u64(0, backoff_ms + 1);
-                    thread::sleep(StdDuration::from_millis(backoff_ms + jitter));
-                    backoff_ms = (backoff_ms * 2).min(BACKOFF_CAP_MS);
-                    continue 'dial;
+            let now = Instant::now();
+            for (to, link) in ep.links.iter_mut().enumerate() {
+                let Some(link) = link else { continue };
+                if link.stream.is_none() && link.redial_at <= now {
+                    self.dial(node, to, link);
                 }
-            };
-            let _ = stream.set_nodelay(true);
-            let token = self.register_conn((from, to), &stream);
-            let mut w = BufWriter::new(stream);
-            // Hello: introduce ourselves — id plus keyed tag — so the
-            // reader can both attribute and *authenticate* every
-            // subsequent frame on this connection.
-            let hello = hello_body(from as u32, self.secret);
-            if frame::write_frame(&mut w, &hello).is_err() || std::io::Write::flush(&mut w).is_err()
-            {
-                self.unregister_conn(token);
-                continue 'dial;
+                self.flush(link);
+                match &link.stream {
+                    Some(s) => {
+                        let events = if link.pending() {
+                            POLLIN | POLLOUT
+                        } else {
+                            POLLIN
+                        };
+                        fds.push(PollFd::new(s, events));
+                        slots.push(Slot::Link(to));
+                    }
+                    None => wait = wait.min(link.redial_at.saturating_duration_since(now)),
+                }
             }
-            self.counters
-                .hello_bytes
-                .fetch_add((HEADER_BYTES + hello.len()) as u64, Ordering::Relaxed);
-            self.counters.connects.fetch_add(1, Ordering::Relaxed);
-            if connected_before {
-                self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+            if let Some(l) = &ep.listener {
+                fds.push(PollFd::new(l, POLLIN));
+                slots.push(Slot::Listener);
             }
-            connected_before = true;
-            backoff_ms = BACKOFF_BASE_MS;
-
-            loop {
-                let body = match rx.recv_timeout(WRITER_POLL) {
-                    Ok(b) => b,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if self.shutdown.load(Ordering::Relaxed) {
-                            self.unregister_conn(token);
-                            return;
+            for (i, c) in ep.inbound.iter().enumerate() {
+                fds.push(PollFd::new(&c.stream, POLLIN));
+                slots.push(Slot::Inbound(i));
+            }
+        }
+        if poll::wait(&mut fds, wait) == 0 {
+            return 0;
+        }
+        // Only this thread adds or removes the endpoint's connections
+        // (`stop` aside, which empties it), so the slots still match.
+        let mut ep = self.endpoint(node);
+        let mut delivered = 0;
+        for (fd, slot) in fds.iter().zip(slots) {
+            match slot {
+                Slot::Listener if fd.ready(POLLIN) => self.accept(&mut ep),
+                Slot::Inbound(i) if fd.ready(POLLIN) => {
+                    if let Some(c) = ep.inbound.get_mut(i) {
+                        delivered += self.read(node, c);
+                    }
+                }
+                Slot::Link(to) => {
+                    if let Some(Some(link)) = ep.links.get_mut(to) {
+                        if fd.ready(POLLIN) {
+                            self.check_link(link);
                         }
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.unregister_conn(token);
-                        return;
-                    }
-                };
-                if self.write_one(&mut w, body).is_err() {
-                    self.unregister_conn(token);
-                    continue 'dial;
-                }
-                // Batch whatever else is queued, then flush once.
-                let mut ok = true;
-                while let Ok(b) = rx.try_recv() {
-                    if self.write_one(&mut w, b).is_err() {
-                        ok = false;
-                        break;
+                        if fd.ready(POLLOUT) {
+                            self.flush(link);
+                        }
                     }
                 }
-                if !ok || std::io::Write::flush(&mut w).is_err() {
-                    self.unregister_conn(token);
-                    continue 'dial;
+                _ => {}
+            }
+        }
+        ep.inbound.retain(|c| c.open);
+        delivered
+    }
+
+    /// A fresh, unconnected link `from → to`, due to dial at once.
+    fn new_link(&self, from: usize, to: usize) -> Link {
+        let n = self.addrs.len() as u64;
+        Link {
+            stream: None,
+            buf: Vec::new(),
+            sent: 0,
+            frames: VecDeque::new(),
+            head_written: 0,
+            redial_at: Instant::now(),
+            backoff_ms: BACKOFF_BASE_MS,
+            connected_before: false,
+            rng: self
+                .rng_root
+                .fork_indexed("link", from as u64 * n + to as u64),
+        }
+    }
+
+    /// Dials `to` and says hello; on failure, schedules the next try
+    /// with jittered exponential backoff.
+    fn dial(&self, from: usize, to: usize, link: &mut Link) {
+        let hello = hello_body(from as u32, self.secret);
+        let connect = || -> std::io::Result<TcpStream> {
+            let mut s = TcpStream::connect_timeout(&self.addrs[to], DIAL_TIMEOUT)?;
+            s.set_nodelay(true)?;
+            // Introduce ourselves — id plus keyed tag — so the reader
+            // can both attribute and *authenticate* every subsequent
+            // frame on this connection.
+            frame::write_frame(&mut s, &hello)?;
+            s.set_nonblocking(true)?;
+            Ok(s)
+        };
+        match connect() {
+            Ok(s) => {
+                let c = &self.counters;
+                bump(&c.hello_bytes, (HEADER_BYTES + hello.len()) as u64);
+                bump(&c.connects, 1);
+                if link.connected_before {
+                    bump(&c.reconnects, 1);
                 }
+                link.connected_before = true;
+                link.backoff_ms = BACKOFF_BASE_MS;
+                link.stream = Some(s);
+            }
+            Err(_) => {
+                let jitter = link.rng.range_u64(0, link.backoff_ms + 1);
+                link.redial_at =
+                    Instant::now() + StdDuration::from_millis(link.backoff_ms + jitter);
+                link.backoff_ms = (link.backoff_ms * 2).min(BACKOFF_CAP_MS);
             }
         }
     }
 
-    fn write_one(&self, w: &mut BufWriter<TcpStream>, body: Vec<u8>) -> std::io::Result<()> {
-        match frame::write_frame(w, &body) {
-            Ok(()) => {
-                self.counters.written_frames.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .written_bytes
-                    .fetch_add((body.len() + HEADER_BYTES) as u64, Ordering::Relaxed);
-                Ok(())
+    /// Writes as much of the link's buffer as the socket takes without
+    /// blocking, counting every frame whose last byte went out.
+    fn flush(&self, link: &mut Link) {
+        let Some(stream) = &mut link.stream else {
+            return;
+        };
+        let mut broken = false;
+        while link.sent < link.buf.len() {
+            match stream.write(&link.buf[link.sent..]) {
+                Ok(0) => broken = true,
+                Ok(n) => {
+                    link.sent += n;
+                    link.head_written += n;
+                    while let Some(&len) = link.frames.front() {
+                        if link.head_written < len {
+                            break;
+                        }
+                        link.head_written -= len;
+                        link.frames.pop_front();
+                        bump(&self.counters.written_frames, 1);
+                        bump(&self.counters.written_bytes, len as u64);
+                    }
+                    continue;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => broken = e.kind() != ErrorKind::WouldBlock,
             }
-            Err(e) => {
-                self.counters.io_lost_frames.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
+            break;
+        }
+        if broken {
+            self.break_link(link);
+        } else if !link.pending() {
+            link.buf.clear();
+            link.sent = 0;
+        } else if link.sent - link.head_written > link.buf.len() / 2 {
+            link.buf.drain(..link.sent - link.head_written);
+            link.sent = link.head_written;
         }
     }
 
-    /// Accepts connections for node `to` until shutdown, spawning one
-    /// reader thread per connection.
-    fn accept_loop(self: Arc<Self>, to: usize, listener: TcpListener) {
+    /// An outbound connection polled readable: the peer never speaks on
+    /// it, so this is a close, a reset or a protocol violation.
+    fn check_link(&self, link: &mut Link) {
+        let Some(stream) = &mut link.stream else {
+            return;
+        };
+        match stream.read(&mut [0u8; 64]) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            _ => self.break_link(link),
+        }
+    }
+
+    /// Drops a broken connection. The frame it broke inside is lost;
+    /// frames not yet started wait for the redial, which is immediate.
+    fn break_link(&self, link: &mut Link) {
+        link.stream = None;
+        if link.head_written > 0 {
+            let len = link.frames.pop_front().expect("a frame was in flight");
+            link.sent += len - link.head_written;
+            link.head_written = 0;
+            bump(&self.counters.io_lost_frames, 1);
+        }
+        link.buf.drain(..link.sent);
+        link.sent = 0;
+        link.redial_at = Instant::now();
+    }
+
+    /// Accepts every waiting connection; each must pass the hello
+    /// before its frames count.
+    fn accept(&self, ep: &mut Endpoint) {
+        let Some(listener) = &ep.listener else {
+            return;
+        };
         loop {
-            let Ok((stream, _)) = listener.accept() else {
-                if self.shutdown.load(Ordering::Relaxed) {
-                    return;
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        ep.inbound.push(Inbound {
+                            stream,
+                            from: None,
+                            unframer: Unframer::new(self.max_frame),
+                            open: true,
+                        });
+                    }
                 }
-                continue;
-            };
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
             }
-            let f = Arc::clone(&self);
-            let h = thread::spawn(move || f.reader_loop(to, stream));
-            self.threads.lock().expect("threads lock").push(h);
         }
     }
 
@@ -563,71 +671,100 @@ where
         }
     }
 
-    /// Reads frames off one accepted connection: an authenticated hello
-    /// first, then message bodies. A bad hello — like any frame or
-    /// decode error — is terminal for the connection: no retry
-    /// negotiation, the socket is shut down and the (legitimate)
-    /// dialer's backoff owns recovery.
-    fn reader_loop(&self, to: usize, mut stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        // The hello attributes the connection to its dialer.
-        let from = match frame::read_frame(&mut stream, self.max_frame) {
-            // Closed before introducing itself (e.g. the shutdown
-            // path's throwaway wakeup connection): not a reject.
-            Ok(None) => return,
-            Ok(Some(body)) => match self.verify_hello(&body) {
-                Some(id) => id,
-                None => {
-                    self.counters.hello_rejects.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            },
-            Err(_) => {
-                self.counters.hello_rejects.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+    /// Kills an inbound connection, charging `counter` — or, if the
+    /// connection never passed its hello, `hello_rejects`: no retry
+    /// negotiation, the (legitimate) dialer's redial owns recovery.
+    fn fail(&self, c: &mut Inbound, counter: &AtomicU64) {
+        let counter = if c.from.is_some() {
+            counter
+        } else {
+            &self.counters.hello_rejects
         };
-        let token = self.register_conn((from, to), &stream);
+        bump(counter, 1);
+        let _ = c.stream.shutdown(Shutdown::Both);
+        c.open = false;
+    }
+
+    /// Reads what an inbound connection has for node `to` and delivers
+    /// the frames it completes. Returns the messages delivered.
+    fn read(&self, to: usize, c: &mut Inbound) -> usize {
+        let mut delivered = 0;
         loop {
-            match frame::read_frame(&mut stream, self.max_frame) {
-                Ok(Some(body)) => {
-                    self.counters.recv_frames.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .recv_bytes
-                        .fetch_add((body.len() + HEADER_BYTES) as u64, Ordering::Relaxed);
-                    match Msg::<M>::decode_transport(&self.mech, &body) {
-                        Ok(msg) => {
-                            match self.inboxes[to].try_send((NodeId(from as u32), msg)) {
-                                Ok(()) => {
-                                    self.progress.inbox_depth[to].fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(TrySendError::Full(_)) => {
-                                    // Wire loss at the inbox, same as the
-                                    // threaded runtime's bounded inboxes.
-                                    self.counters.inbox_drops.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                        Err(_) => {
-                            // Undecodable body: the stream can no longer
-                            // be trusted. Drop the connection.
-                            self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = stream.shutdown(Shutdown::Both);
-                            break;
-                        }
+            let limit = c.unframer.missing().max(READ_CHUNK);
+            match c.unframer.read_from(&mut c.stream, limit) {
+                Ok(0) => {
+                    // End of stream: clean between frames (including a
+                    // close before any hello), torn inside one.
+                    if c.unframer.finish().is_err() {
+                        self.fail(c, &self.counters.frame_errors);
+                    }
+                    c.open = false;
+                    return delivered;
+                }
+                Ok(n) => {
+                    delivered += self.deliver(to, c);
+                    if !c.open || n < limit {
+                        return delivered;
                     }
                 }
-                Ok(None) => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return delivered,
                 Err(_) => {
-                    self.counters.frame_errors.fetch_add(1, Ordering::Relaxed);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    break;
+                    self.fail(c, &self.counters.frame_errors);
+                    return delivered;
                 }
             }
         }
-        self.unregister_conn(token);
+    }
+
+    /// Takes every complete frame off an inbound connection: the first
+    /// is its hello, the rest are messages for node `to`'s inbox.
+    fn deliver(&self, to: usize, c: &mut Inbound) -> usize {
+        let mut delivered = 0;
+        loop {
+            let body = match c.unframer.next_frame() {
+                Ok(Some(body)) => body,
+                Ok(None) => return delivered,
+                Err(_) => {
+                    self.fail(c, &self.counters.frame_errors);
+                    return delivered;
+                }
+            };
+            let Some(from) = c.from else {
+                // The hello attributes the connection to its dialer.
+                match self.verify_hello(body) {
+                    Some(id) => c.from = Some(id),
+                    None => {
+                        self.fail(c, &self.counters.hello_rejects);
+                        return delivered;
+                    }
+                }
+                continue;
+            };
+            bump(&self.counters.recv_frames, 1);
+            bump(
+                &self.counters.recv_bytes,
+                (body.len() + HEADER_BYTES) as u64,
+            );
+            let Ok(msg) = Msg::<M>::decode_transport(&self.mech, body) else {
+                // Undecodable body: the stream can no longer be
+                // trusted. Drop the connection.
+                self.fail(c, &self.counters.decode_errors);
+                return delivered;
+            };
+            match self.inboxes[to].try_send((NodeId(from as u32), msg)) {
+                Ok(()) => {
+                    self.progress.inbox_depth[to].fetch_add(1, Ordering::Relaxed);
+                    delivered += 1;
+                }
+                // Wire loss at the inbox, same as the threaded
+                // runtime's bounded inboxes.
+                Err(TrySendError::Full(_)) => bump(&self.counters.inbox_drops, 1),
+                Err(TrySendError::Disconnected(_)) => {
+                    c.open = false;
+                    return delivered;
+                }
+            }
+        }
     }
 }

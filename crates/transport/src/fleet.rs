@@ -13,6 +13,15 @@
 //! are delivered locally (a node does not dial itself), every other
 //! message takes the wire.
 //!
+//! The node thread also does the node's socket I/O: there is no other
+//! thread per node or per link. After each dispatch batch it pumps its
+//! fabric endpoint ([`Fabric::pump`]), which writes the batch's frames
+//! with nonblocking writes and then sleeps in `poll(2)` until one of
+//! the node's sockets is ready or the node's next timer is due (20 ms
+//! at most, so shutdown is noticed); the frames it reads land in the
+//! node's inbox and are dispatched next. A run's threads are the
+//! nodes, the stall watchdog and the caller.
+//!
 //! `StoreConfig::header_bytes` is forced to the frame codec's real
 //! [`HEADER_BYTES`](crate::frame::HEADER_BYTES), so the per-class wire
 //! ledgers charge exactly the bytes written to the sockets — the
@@ -26,7 +35,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
@@ -83,7 +92,8 @@ pub struct SocketConfig {
     pub client: ClientConfig,
     /// Inbox slots per node; a full inbox drops (wire loss).
     pub inbox_capacity: usize,
-    /// Outbound frames queued per link; a full queue drops (wire loss).
+    /// Outbound frames buffered per link; a full buffer drops (wire
+    /// loss).
     pub queue_capacity: usize,
     /// Frame body cap; an announced length beyond this kills the
     /// connection.
@@ -262,10 +272,10 @@ where
     }
 
     /// Runs the fleet to completion over real sockets: binds one
-    /// loopback listener per node, spawns per-node event threads plus
-    /// the stall watchdog, waits for every client, quiesces until the
-    /// repair ledger sits still, then tears the fabric down and
-    /// reassembles the nodes for inspection.
+    /// loopback listener per node, spawns per-node event threads (which
+    /// drive their own sockets) plus the stall watchdog, waits for every
+    /// client, quiesces until the repair ledger sits still, then tears
+    /// the fabric down and reassembles the nodes for inspection.
     ///
     /// Returns `Err` with per-node diagnostics if the watchdog declares
     /// a stall or the run budget expires first.
@@ -275,7 +285,7 @@ where
         let shutdown = Arc::new(AtomicBool::new(false));
         let origin = Instant::now();
 
-        // One bounded inbox per node; the fabric's readers feed them.
+        // One bounded inbox per node, fed by the node's own pumps.
         let mut inbox_txs: Vec<SyncSender<InPacket<M>>> = Vec::with_capacity(total);
         let mut inbox_rxs: Vec<Option<Receiver<InPacket<M>>>> = Vec::with_capacity(total);
         for _ in 0..total {
@@ -532,9 +542,12 @@ fn drive_conn_kills<M>(
     }
 }
 
-/// One node's event loop: timers from its wheel, messages from its
-/// inbox (socket readers) and its local self-send queue, dispatched
-/// through the same [`RtCtx`] adapter the threaded runtime uses.
+/// One node's event loop: timers from its wheel, its local self-send
+/// queue, and messages its own [`Fabric::pump`] reads off its sockets
+/// into its inbox, dispatched through the same [`RtCtx`] adapter the
+/// threaded runtime uses. Each pump first writes out what the last
+/// dispatch batch sent, then sleeps in `poll(2)` until a socket is ready
+/// or the next timer is due (20 ms at most).
 fn node_loop<M>(
     mut h: Hosted<M>,
     rx: Receiver<InPacket<M>>,
@@ -549,16 +562,12 @@ where
     M::State: Send,
     M::Context: Send,
 {
+    let me = h.id.0 as usize;
     let mut local: VecDeque<(NodeId, Msg<M>)> = VecDeque::new();
-    dispatch(
-        &mut h,
-        Ev::Start,
-        &fabric,
-        &mut local,
-        &progress,
-        &snapshots,
-        origin,
-    );
+    let run = |h: &mut Hosted<M>, ev, local: &mut VecDeque<_>| {
+        dispatch(h, ev, &fabric, local, &progress, &snapshots, origin);
+    };
+    run(&mut h, Ev::Start, &mut local);
     loop {
         if shutdown.load(Ordering::Relaxed) {
             return h;
@@ -571,70 +580,26 @@ where
             worked = false;
             let now_us = origin.elapsed().as_micros() as u64;
             while let Some(t) = h.wheel.pop_due(now_us) {
-                dispatch(
-                    &mut h,
-                    Ev::Timer(t),
-                    &fabric,
-                    &mut local,
-                    &progress,
-                    &snapshots,
-                    origin,
-                );
+                run(&mut h, Ev::Timer(t), &mut local);
                 worked = true;
             }
             while let Some((from, msg)) = local.pop_front() {
-                dispatch(
-                    &mut h,
-                    Ev::Message { from, msg },
-                    &fabric,
-                    &mut local,
-                    &progress,
-                    &snapshots,
-                    origin,
-                );
+                run(&mut h, Ev::Message { from, msg }, &mut local);
                 worked = true;
             }
         }
 
-        // Sleep until the next timer or the next packet.
+        // Write out this batch's sends, then sleep until a socket is
+        // ready or the next timer is due.
         let now_us = origin.elapsed().as_micros() as u64;
         let wait = match h.wheel.next_due() {
-            Some(d) if d <= now_us => StdDuration::ZERO,
-            Some(d) => StdDuration::from_micros((d - now_us).min(20_000)),
+            Some(d) => StdDuration::from_micros(d.saturating_sub(now_us).min(20_000)),
             None => StdDuration::from_millis(20),
         };
-        let first = if wait.is_zero() {
-            rx.try_recv().ok()
-        } else {
-            match rx.recv_timeout(wait) {
-                Ok(p) => Some(p),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => return h,
-            }
-        };
-        if let Some((from, msg)) = first {
-            progress.inbox_depth[h.id.0 as usize].fetch_sub(1, Ordering::Relaxed);
-            dispatch(
-                &mut h,
-                Ev::Message { from, msg },
-                &fabric,
-                &mut local,
-                &progress,
-                &snapshots,
-                origin,
-            );
-            while let Ok((from, msg)) = rx.try_recv() {
-                progress.inbox_depth[h.id.0 as usize].fetch_sub(1, Ordering::Relaxed);
-                dispatch(
-                    &mut h,
-                    Ev::Message { from, msg },
-                    &fabric,
-                    &mut local,
-                    &progress,
-                    &snapshots,
-                    origin,
-                );
-            }
+        fabric.pump(me, wait);
+        while let Ok((from, msg)) = rx.try_recv() {
+            progress.inbox_depth[me].fetch_sub(1, Ordering::Relaxed);
+            run(&mut h, Ev::Message { from, msg }, &mut local);
         }
     }
 }

@@ -6,12 +6,13 @@
 //! channels, this crate serialises every inter-node message with the
 //! real wire codec ([`kvstore::messages::Msg::encode_transport`]),
 //! frames it ([`frame`]) and ships it over loopback TCP connections
-//! managed by a reconnecting connection layer ([`fabric`]). The
+//! managed by a reconnecting connection layer ([`fabric`]) that each
+//! node's own thread drives through `poll(2)`. The
 //! protocol code is byte-for-byte the same in all three drivers; only
 //! the [`kvstore::ctx::NodeCtx`] effects interpreter differs.
 //!
 //! Failure semantics deliberately mirror the in-process drivers: a full
-//! outbound queue or full inbox drops the message (wire loss the
+//! outbound buffer or full inbox drops the message (wire loss the
 //! protocol already tolerates), a torn/corrupt frame kills the
 //! connection and the dialer reconnects with jittered backoff, and
 //! anti-entropy repairs whatever an outage cost. The
@@ -21,14 +22,15 @@
 //! converge) that gates the simulator and the threaded runtime gates
 //! the socket driver too.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)] // `poll` alone opts out, to call poll(2)
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fabric;
 pub mod fleet;
 pub mod frame;
+mod poll;
 
 pub use fabric::{hello_body, Fabric, FabricStats};
 pub use fleet::{ConnKill, SocketConfig, SocketFleet};
-pub use frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME, HEADER_BYTES};
+pub use frame::{read_frame, write_frame, FrameError, Unframer, DEFAULT_MAX_FRAME, HEADER_BYTES};

@@ -9,6 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use dvv::mechanisms::{DvvMechanism, Mechanism, WriteOrigin};
@@ -107,6 +108,17 @@ fn fabric_counts_match_ledger_on_both_ends() {
     )
     .unwrap();
 
+    // The fabric moves bytes only when its nodes are pumped.
+    let pump = {
+        let (fabric, shutdown) = (Arc::clone(&fabric), Arc::clone(&shutdown));
+        thread::spawn(move || {
+            while !shutdown.load(Ordering::Relaxed) {
+                fabric.pump(0, Duration::from_millis(1));
+                fabric.pump(1, Duration::from_millis(1));
+            }
+        })
+    };
+
     let mech = DvvMechanism;
     for msg in &msgs {
         fabric.send_bytes(0, 1, msg.encode_transport(&mech));
@@ -131,6 +143,7 @@ fn fabric_counts_match_ledger_on_both_ends() {
     }
 
     shutdown.store(true, Ordering::Relaxed);
+    pump.join().unwrap();
     fabric.stop();
     let stats = fabric.stats();
     assert_eq!(stats.enqueued_bytes, charged, "sender ledger\n{stats:#?}");

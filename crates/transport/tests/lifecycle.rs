@@ -106,6 +106,16 @@ fn bad_hello_is_terminally_rejected() {
         SECRET,
     )
     .expect("bind loopback listeners");
+    // The fabric moves bytes only when its nodes are pumped.
+    let pump = {
+        let (fabric, shutdown) = (Arc::clone(&fabric), Arc::clone(&shutdown));
+        std::thread::spawn(move || {
+            while !shutdown.load(Ordering::Relaxed) {
+                fabric.pump(0, StdDuration::from_millis(1));
+                fabric.pump(1, StdDuration::from_millis(1));
+            }
+        })
+    };
 
     // Reads until the peer closes; returns the bytes it sent us.
     // A rejected connection yields EOF (or reset) without traffic.
@@ -157,6 +167,7 @@ fn bad_hello_is_terminally_rejected() {
     assert_eq!(stats.decode_errors, 1, "garbage body dies after auth");
 
     shutdown.store(true, Ordering::Relaxed);
+    pump.join().unwrap();
     fabric.stop();
     drop(rx0);
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Diffs fresh BENCH_*.json files (produced by the bench-baseline lane)
 # against the committed baselines in bench-baselines/, printing a
-# per-bench mean delta. Warn-only: hardware differs across machines and
+# per-bench mean delta. Records whose id ends in `ops_per_sec` carry a
+# throughput in `mean_ns` and regress when they fall; every other
+# record is a time and regresses when it rises. Warn-only: hardware differs across machines and
 # hosted runners, so a regression never fails the lane — the point is a
 # visible, comparable perf trajectory from PR to PR.
 #
@@ -55,10 +57,15 @@ for fresh_path in sys.argv[2:]:
             continue
         ref = base[bid]
         delta = (mean - ref) / ref * 100.0 if ref else 0.0
-        flag = "WARN" if delta > threshold else "ok  "
-        if delta > threshold:
+        if bid.endswith("ops_per_sec"):
+            regressed, unit = delta < -threshold, "ops/s"
+        else:
+            regressed = delta > threshold
+            unit = "us" if bid.endswith("_us") else "ns"
+        flag = "WARN" if regressed else "ok  "
+        if regressed:
             warned += 1
-        print(f"  {flag} {bid}: {ref:,.0f} -> {mean:,.0f} ns ({delta:+.1f}%)")
+        print(f"  {flag} {bid}: {ref:,.0f} -> {mean:,.0f} {unit} ({delta:+.1f}%)")
     for bid in sorted(set(base) - set(fresh)):
         print(f"  GONE {bid} (in baseline, not in fresh run)")
 if warned:

@@ -85,6 +85,8 @@ if runs_lane socket; then
     cargo test -p transport --test charge_parity -- --nocapture
     cargo test -p transport --test conformance -- --nocapture
     cargo test -p transport --test lifecycle -- --nocapture
+    cargo test -p transport --test bounds --test threads -- --nocapture
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if runs_lane storage; then
