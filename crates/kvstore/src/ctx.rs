@@ -3,13 +3,13 @@
 //! [`StoreNode`](crate::node::StoreNode) and
 //! [`ClientNode`](crate::client::ClientNode) are written against this
 //! trait rather than a concrete driver, so the *same* protocol logic
-//! runs on two backends:
+//! runs on two implementations:
 //!
 //! * [`SimCtx`] — the deterministic discrete-event simulator
 //!   ([`simnet::Simulation`]), kept as the oracle-checked harness;
-//! * the multi-threaded in-process runtime (the `runtime` crate), which
-//!   provides its own implementation over real threads, channels, and a
-//!   monotonic clock.
+//! * the host the real drivers share (the `runtime` crate's `host`),
+//!   over real threads and a monotonic clock, which the threaded and
+//!   the socket driver each wire up their own way.
 //!
 //! The trait is also the **single source of truth for wire bytes**:
 //! [`NodeCtx::send`] derives each message's size from
@@ -65,9 +65,6 @@ pub trait NodeCtx<M: Mechanism<StampedValue>> {
     /// unschedule (the simulator) may still deliver the fire; nodes must
     /// treat an unknown id as a no-op.
     fn cancel_timer(&mut self, timer: TimerId);
-
-    /// Adds a free-form annotation (trace note on the simulator).
-    fn note(&mut self, text: String);
 }
 
 /// [`NodeCtx`] implementation over the discrete-event simulator's
@@ -121,10 +118,6 @@ impl<M: Mechanism<StampedValue>> NodeCtx<M> for SimCtx<'_, '_, M> {
         // The simulator's event queue has no removal; the fire is
         // delivered and ignored by the node's own timer map. Keeping the
         // event preserves bit-for-bit determinism of existing runs.
-    }
-
-    fn note(&mut self, text: String) {
-        self.inner.note(text);
     }
 }
 

@@ -1,208 +1,217 @@
 //! [`RuntimeFleet`]: hosts the kvstore protocol on real threads.
 //!
-//! Layout mirrors [`kvstore::cluster::Cluster`]: node ids `0..servers`
-//! are replica servers, `servers..servers + clients` are closed-loop
-//! client sessions, and the same [`StoreProc`] enum holds either. Each
-//! server gets a dedicated event-loop thread; clients are partitioned
-//! across `client_workers` threads (the parallelism knob the bench
-//! sweeps). Every worker owns a bounded inbox, a
-//! [`TimerWheel`](crate::wheel::TimerWheel) per hosted node, and a
-//! forked RNG stream, and dispatches the *same* generic
-//! `on_start`/`on_message`/`on_timer` code the simulator drives —
-//! [`RtCtx`](crate::rtctx::RtCtx) is the only runtime-specific layer a
-//! node ever sees.
+//! A configuration of the shared [`host`](crate::host): the nodes, the
+//! event loop and the run supervisor are the host's; this module adds
+//! the in-process wire. Each server gets a dedicated node thread;
+//! clients are partitioned across `client_workers` threads (the
+//! parallelism knob the bench sweeps).
 //!
-//! Messages route through `std::sync::mpsc` sync channels. A full inbox
-//! drops the message (wire loss; the protocol's timeouts, retries and
-//! anti-entropy absorb it), so workers can never deadlock on a send.
-//! An optional delayer thread holds back messages sampled into a
-//! latency window, and a fault plan can drop messages probabilistically
-//! or wedge chosen servers to exercise the stall watchdog.
+//! Messages between threads route through `std::sync::mpsc` sync
+//! channels, one bounded inbox per thread. A full inbox drops the
+//! message (wire loss; the protocol's timeouts, retries and
+//! anti-entropy absorb it), so threads can never deadlock on a send. A
+//! [`FaultPlan`] can drop, duplicate or stale-replay messages, hold
+//! them back in a delayer thread for a sampled latency, or wedge chosen
+//! servers to exercise the stall watchdog. A [`CrashEvent`] is carried
+//! out by the crashed server's own thread, so the node is never touched
+//! from two threads.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
 use dvv::mechanisms::Mechanism;
-use dvv::{ClientId, ReplicaId};
+use dvv::ReplicaId;
 use kvstore::client::ClientNode;
-use kvstore::cluster::{EngineFactory, StoreProc};
-use kvstore::config::StoreConfig;
+use kvstore::cluster::EngineFactory;
+use kvstore::config::{ClientConfig, StoreConfig};
 use kvstore::harness::FleetHarness;
-use kvstore::messages::{Msg, WireStats};
-use kvstore::node::{NodeStats, StoreNode};
+use kvstore::messages::Msg;
+use kvstore::node::StoreNode;
 use kvstore::value::StampedValue;
 use ring::{MemberStatus, RingView};
-use simnet::{NodeId, SimRng, SimTime, TimerId};
+use simnet::{NodeId, SimRng};
 use storage::{MemEngine, StorageEngine};
 
-use crate::rtctx::RtCtx;
-use crate::watchdog::{self, Progress, StallReport};
+use crate::host::{self, Budgets, FleetStats, Host, Hosted, Packet, RunReport, Shared, Wire};
+use crate::watchdog::{Progress, StallReport};
 use crate::wheel::TimerWheel;
 use crate::{CrashEvent, FaultPlan, RuntimeConfig};
-
-/// Clean AAE rounds every server must initiate, after the last observed
-/// repair activity, before the quiesce phase may end early (with 3+
-/// servers and random peer choice this gives each pair several chances
-/// to detect leftover divergence).
-const SETTLE_CLEAN_ROUNDS: u64 = 8;
-
-/// Crash-plane phases: the handshake between the main loop (which
-/// drives the crash schedule) and a crashed server's worker thread
-/// (which performs the kill and the rebuild in-thread, so the node is
-/// never touched from two threads).
-const PHASE_RUNNING: u8 = 0;
-/// Main loop ordered a kill; the worker has not executed it yet.
-const PHASE_KILL: u8 = 1;
-/// Worker dropped the node; an inert husk holds the slot.
-const PHASE_DOWN: u8 = 2;
-/// Main loop ordered a respawn; the worker has not rebuilt yet.
-const PHASE_RESPAWN: u8 = 3;
-
-/// One atomic phase per server, shared between the main loop and the
-/// server workers (see the `PHASE_*` constants).
-#[derive(Debug)]
-struct CrashPlane {
-    phases: Vec<AtomicU8>,
-}
-
-/// Everything a server worker needs to rebuild its node from scratch
-/// after a scheduled kill: the same constructor inputs the fleet used
-/// at build time, plus the engine factory when the fleet is durable (a
-/// log-backed engine replays its durable prefix on open; without a
-/// factory the respawn comes back empty, the diskless baseline).
-struct RespawnKit<M: Mechanism<StampedValue>> {
-    replica: ReplicaId,
-    mech: M,
-    store: StoreConfig,
-    genesis_view: RingView<ReplicaId>,
-    factory: Option<EngineFactory<M>>,
-}
-
-/// A server worker's handle on the crash schedule: its slot's phase
-/// cell plus the rebuild kit.
-struct WorkerCrash<M: Mechanism<StampedValue>> {
-    server: usize,
-    plane: Arc<CrashPlane>,
-    kit: RespawnKit<M>,
-}
-
-/// Where one scheduled [`CrashEvent`] currently stands in the main
-/// loop's state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CrashStage {
-    Pending,
-    Killed,
-    Respawning,
-    Done,
-}
-
-/// An addressed message in flight between nodes.
-#[derive(Debug)]
-struct Packet<M: Mechanism<StampedValue>> {
-    from: NodeId,
-    to: NodeId,
-    msg: Msg<M>,
-}
-
-/// State shared by every thread of a run (mechanism-independent).
-/// `shutdown` is its own `Arc` so the watchdog can hold the flag
-/// without the rest of the struct.
-#[derive(Debug)]
-struct Shared {
-    origin: Instant,
-    faults: FaultPlan,
-    faults_on: std::sync::atomic::AtomicBool,
-    shutdown: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl Shared {
-    fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
-    }
-}
 
 /// Captured frames kept per directed link for stale-replay injection —
 /// same bound as the simulator driver's stash, and for the same reason:
 /// replays resurface recent-ish history without hoarding clones.
 const REPLAY_STASH_CAP: usize = 16;
 
-/// A worker thread's view of the message fabric: per-node inbox senders
-/// plus the fault plan and its RNG stream for loss/latency sampling.
-/// Each worker keeps its own replay stash, so a stale replay resurfaces
-/// traffic this worker's nodes actually sent on that link.
+/// A node thread's wire: its own inbox, every thread's inbox sender,
+/// the fault plan with its RNG stream, and — on a server's thread — the
+/// crash scheduled for it. Each thread keeps its own replay stash, so a
+/// stale replay resurfaces traffic this thread's nodes actually sent on
+/// that link.
 struct Router<M: Mechanism<StampedValue>> {
     shared: Arc<Shared>,
-    progress: Arc<Progress>,
+    faults: FaultPlan,
+    rx: Receiver<Packet<M>>,
     slots: Vec<SyncSender<Packet<M>>>,
     delayer: Option<Sender<(u64, Packet<M>)>>,
     rng: SimRng,
     replay_stash: BTreeMap<(NodeId, NodeId), Vec<Msg<M>>>,
+    crash: Option<Crash<M>>,
+}
+
+/// Where a server's scheduled [`CrashEvent`] stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CrashStage {
+    Pending,
+    Down,
+    Done,
+}
+
+/// A server thread's scheduled crash, with everything it needs to
+/// rebuild the node from scratch: the constructor inputs the fleet used
+/// at build time, plus the engine factory when the fleet is durable (a
+/// log-backed engine replays its durable prefix on open; without a
+/// factory the respawn comes back empty, the diskless baseline).
+struct Crash<M: Mechanism<StampedValue>> {
+    event: CrashEvent,
+    stage: CrashStage,
+    mech: M,
+    store: StoreConfig,
+    genesis_view: RingView<ReplicaId>,
+    factory: Option<EngineFactory<M>>,
+    /// The fleet's audit view, bumped by every respawn.
+    view: Arc<Mutex<RingView<ReplicaId>>>,
 }
 
 impl<M: Mechanism<StampedValue>> Router<M> {
-    fn route(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
-        // Self-sends bypass fault injection, matching the simulator's
-        // reliable zero-delay local delivery.
-        if from != to && self.shared.faults_on.load(Ordering::Relaxed) {
-            let (drop_p, dup_p, replay_p) = (
-                self.shared.faults.drop_probability,
-                self.shared.faults.duplicate_probability,
-                self.shared.faults.replay_probability,
-            );
-            if drop_p > 0.0 && self.rng.chance(drop_p) {
-                return;
-            }
-            if dup_p > 0.0 && self.rng.chance(dup_p) {
-                self.forward(from, to, msg.clone());
-            }
-            if replay_p > 0.0 {
-                if self.rng.chance(replay_p) {
-                    let stale = self.replay_stash.get(&(from, to)).and_then(|stash| {
-                        if stash.is_empty() {
-                            None
-                        } else {
-                            let pick = self.rng.next_u64() as usize % stash.len();
-                            Some(stash[pick].clone())
-                        }
-                    });
-                    if let Some(stale) = stale {
-                        self.forward(from, to, stale);
-                    }
-                }
-                let stash = self.replay_stash.entry((from, to)).or_default();
-                if stash.len() >= REPLAY_STASH_CAP {
-                    stash.remove(0);
-                }
-                stash.push(msg.clone());
-            }
-            self.forward(from, to, msg);
-            return;
-        }
-        deliver(&self.progress, &self.slots, Packet { from, to, msg });
-    }
-
     /// Delivers one (possibly injected) inter-node message, routing it
     /// through the delayer with a freshly sampled delay when the plan
     /// has a latency window — so duplicates and replays each draw their
     /// own delay, like the simulator's independently delayed copies.
     fn forward(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
-        if let Some((lo, hi)) = self.shared.faults.delay_micros {
-            if let Some(tx) = &self.delayer {
-                let d = if hi > lo {
-                    self.rng.range_u64(lo, hi + 1)
-                } else {
-                    lo
-                };
-                let due = self.shared.now_us() + d;
-                let _ = tx.send((due, Packet { from, to, msg }));
-                return;
-            }
+        if let (Some((lo, hi)), Some(tx)) = (self.faults.delay_micros, &self.delayer) {
+            let d = if hi > lo {
+                self.rng.range_u64(lo, hi + 1)
+            } else {
+                lo
+            };
+            let _ = tx.send((self.shared.now_us() + d, Packet { from, to, msg }));
+            return;
         }
-        deliver(&self.progress, &self.slots, Packet { from, to, msg });
+        deliver(&self.shared.progress, &self.slots, Packet { from, to, msg });
+    }
+}
+
+impl<M: Mechanism<StampedValue>> Wire<M> for Router<M> {
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg<M>) {
+        if self.faults.is_noop() || self.shared.quiescing.load(Ordering::Relaxed) {
+            deliver(&self.shared.progress, &self.slots, Packet { from, to, msg });
+            return;
+        }
+        let f = &self.faults;
+        let (drop_p, dup_p, replay_p) = (
+            f.drop_probability,
+            f.duplicate_probability,
+            f.replay_probability,
+        );
+        if drop_p > 0.0 && self.rng.chance(drop_p) {
+            return;
+        }
+        if dup_p > 0.0 && self.rng.chance(dup_p) {
+            self.forward(from, to, msg.clone());
+        }
+        if replay_p > 0.0 {
+            if self.rng.chance(replay_p) {
+                let stale = self.replay_stash.get(&(from, to)).and_then(|stash| {
+                    if stash.is_empty() {
+                        None
+                    } else {
+                        let pick = self.rng.next_u64() as usize % stash.len();
+                        Some(stash[pick].clone())
+                    }
+                });
+                if let Some(stale) = stale {
+                    self.forward(from, to, stale);
+                }
+            }
+            let stash = self.replay_stash.entry((from, to)).or_default();
+            if stash.len() >= REPLAY_STASH_CAP {
+                stash.remove(0);
+            }
+            stash.push(msg.clone());
+        }
+        self.forward(from, to, msg);
+    }
+
+    fn wait(&mut self, timeout: StdDuration, inbox: &mut VecDeque<Packet<M>>) {
+        let first = if timeout.is_zero() {
+            self.rx.try_recv().ok()
+        } else {
+            self.rx.recv_timeout(timeout).ok()
+        };
+        if let Some(first) = first {
+            inbox.push_back(first);
+            inbox.extend(self.rx.try_iter());
+        }
+    }
+
+    /// Carries out this server's crash as its deadlines come due. The
+    /// kill drops the node — in-memory state and the engine's unsynced
+    /// buffer are gone, like a power cut — and parks an inert husk in
+    /// the slot; while down, whatever arrives is lost (a crashed box
+    /// answers nothing). The respawn rebuilds the node, bumps it to a
+    /// fresh `Up` incarnation, and re-admits it in band with a
+    /// [`Msg::Rejoin`] that re-arms its timers and lets gossip spread
+    /// the re-admission. No harness view synchronisation.
+    fn tick(&mut self, nodes: &mut [Hosted<M>], inbox: &mut VecDeque<Packet<M>>) {
+        let Some(c) = &mut self.crash else {
+            return;
+        };
+        let elapsed = self.shared.origin.elapsed();
+        let server = c.event.server;
+        let replica = ReplicaId(server as u32);
+        match c.stage {
+            CrashStage::Pending if elapsed >= c.event.kill_after => {
+                self.shared.progress.set_expected_down(server, true);
+                let husk =
+                    StoreNode::dormant(replica, c.mech.clone(), c.store, c.genesis_view.clone());
+                nodes[0].replace_server(husk);
+                c.stage = CrashStage::Down;
+            }
+            CrashStage::Down if elapsed >= c.event.respawn_after => {
+                let engine: Box<dyn StorageEngine<M::State>> = match &c.factory {
+                    Some(f) => f.build(server),
+                    None => Box::new(MemEngine::new()),
+                };
+                let node = StoreNode::with_engine(
+                    replica,
+                    c.mech.clone(),
+                    c.store,
+                    c.genesis_view.clone(),
+                    engine,
+                );
+                nodes[0].replace_server(node);
+                let mut view = c.view.lock().expect("view lock");
+                view.bump(&replica, MemberStatus::Up);
+                let id = nodes[0].id();
+                inbox.clear();
+                inbox.push_back(Packet {
+                    from: id,
+                    to: id,
+                    msg: Msg::Rejoin { view: view.clone() },
+                });
+                self.shared.progress.set_expected_down(server, false);
+                self.shared.pending.fetch_sub(1, Ordering::Relaxed);
+                c.stage = CrashStage::Done;
+            }
+            _ => {}
+        }
+        if c.stage == CrashStage::Down {
+            inbox.clear();
+        }
     }
 }
 
@@ -218,106 +227,15 @@ fn deliver<M: Mechanism<StampedValue>>(
     }
 }
 
-/// One node hosted on a worker thread: the protocol state machine plus
-/// its runtime-side scheduling state.
-#[derive(Debug)]
-struct Hosted<M: Mechanism<StampedValue>> {
-    id: NodeId,
-    proc_: StoreProc<M>,
-    rng: SimRng,
-    wheel: TimerWheel<TimerId>,
-    next_timer: u64,
-    was_done: bool,
-    last_ops: u64,
-}
-
-/// An event to dispatch into a hosted node.
-enum Ev<M: Mechanism<StampedValue>> {
-    Start,
-    Message { from: NodeId, msg: Msg<M> },
-    Timer(TimerId),
-}
-
-/// Cheap, lock-scoped copy of one node's reporting state, refreshed by
-/// its worker after every dispatch — the runtime analogue of reading a
-/// live `Cluster` node, available *while the fleet is running*.
-#[derive(Clone, Debug, Default)]
-pub struct NodeSnapshot {
-    /// Per-class wire ledger ([`WireStats`] is `Copy`).
-    pub wire: WireStats,
-    /// Server counters; `None` for client nodes.
-    pub server: Option<NodeStats>,
-    /// Client ops completed (GET + PUT acks); 0 for servers.
-    pub ops_ok: u64,
-    /// Client cycles finished; 0 for servers.
-    pub cycles_done: u32,
-    /// Whether a client session has completed all its cycles.
-    pub done: bool,
-    /// Events this node has dispatched.
-    pub events: u64,
-}
-
-/// Clonable live-stats handle: snapshot any node or fold the fleet-wide
-/// wire ledger without pausing worker threads (satellite: the
-/// `Cluster::wire_report()`-equivalent for the runtime).
-#[derive(Clone, Debug)]
-pub struct FleetStats {
-    snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
-}
-
-impl FleetStats {
-    /// A copy of node `i`'s latest snapshot (fleet layout order:
-    /// servers, then clients).
-    pub fn snapshot(&self, i: usize) -> NodeSnapshot {
-        self.snapshots[i].lock().expect("snapshot lock").clone()
-    }
-
-    /// Sums every node's per-class wire counters from the live
-    /// snapshots — same fold as [`kvstore::cluster::Cluster::wire_report`].
-    pub fn wire_report(&self) -> WireStats {
-        let mut out = WireStats::default();
-        for s in self.snapshots.iter() {
-            out.absorb(&s.lock().expect("snapshot lock").wire);
-        }
-        out
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.snapshots.len()
-    }
-
-    /// True when the handle covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
-    }
-}
-
-/// Outcome of a completed (non-stalled) run.
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// Wall-clock from worker start to the last client finishing
-    /// (quiesce excluded), at the main loop's polling granularity.
-    pub elapsed: StdDuration,
-    /// Client operations completed fleet-wide.
-    pub ops_ok: u64,
-    /// All clients finished within the run budget.
-    pub all_done: bool,
-}
-
 /// The multi-threaded fleet. Build with [`RuntimeFleet::new`], run with
 /// [`RuntimeFleet::run`], then inspect nodes and reports exactly like a
 /// [`Cluster`](kvstore::cluster::Cluster) after a simulated run.
 #[derive(Debug)]
 pub struct RuntimeFleet<M: Mechanism<StampedValue>> {
     config: RuntimeConfig,
-    mech: M,
-    view: RingView<ReplicaId>,
+    host: Host<M>,
     genesis_view: RingView<ReplicaId>,
     factory: Option<EngineFactory<M>>,
-    nodes: Vec<Hosted<M>>,
-    snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
-    progress: Arc<Progress>,
     net_root: SimRng,
 }
 
@@ -350,13 +268,7 @@ where
     }
 
     fn build(seed: u64, mech: M, config: RuntimeConfig, factory: Option<EngineFactory<M>>) -> Self {
-        assert!(config.servers > 0, "need at least one server");
         assert!(config.client_workers > 0, "need at least one client worker");
-        config.store.validate();
-        assert!(
-            config.store.n <= config.servers,
-            "replication factor exceeds server count"
-        );
         let mut crash_targets = std::collections::BTreeSet::new();
         for c in &config.crashes {
             assert!(
@@ -374,79 +286,32 @@ where
                 c.server
             );
         }
-        let root = SimRng::new(seed);
-        let replicas: Vec<ReplicaId> = (0..config.servers as u32).map(ReplicaId).collect();
-        let view = RingView::from_members(replicas.iter().copied());
-        let total = config.servers + config.clients;
-
-        let mut nodes = Vec::with_capacity(total);
-        for r in &replicas {
-            let node = match &factory {
-                Some(f) => StoreNode::with_engine(
-                    *r,
-                    mech.clone(),
-                    config.store,
-                    view.clone(),
-                    f.build(r.0 as usize),
-                ),
-                None => StoreNode::new(*r, mech.clone(), config.store, view.clone()),
-            };
-            nodes.push(Hosted {
-                id: NodeId(r.0),
-                proc_: StoreProc::Server(node),
-                rng: root.fork_indexed("node", r.0 as u64),
-                wheel: TimerWheel::new(),
-                next_timer: 0,
-                was_done: false,
-                last_ops: 0,
-            });
-        }
-        for j in 0..config.clients {
-            let node_index = (config.servers + j) as u32;
-            let mut client_cfg = config.client.clone();
-            client_cfg.cycles = config.cycles_per_client;
-            nodes.push(Hosted {
-                id: NodeId(node_index),
-                proc_: StoreProc::Client(ClientNode::new(
-                    ClientId(j as u64),
-                    node_index,
-                    mech.clone(),
-                    client_cfg,
-                    config.store.n,
-                    config.store.header_bytes,
-                    view.clone(),
-                    config.store.vnodes,
-                )),
-                rng: root.fork_indexed("node", node_index as u64),
-                wheel: TimerWheel::new(),
-                next_timer: 0,
-                was_done: false,
-                last_ops: 0,
-            });
-        }
-        RuntimeFleet {
-            config,
+        let client = ClientConfig {
+            cycles: config.cycles_per_client,
+            ..config.client.clone()
+        };
+        let host = Host::new(
+            seed,
             mech,
-            view: view.clone(),
-            genesis_view: view,
+            config.store,
+            &client,
+            config.servers,
+            config.clients,
+            factory.as_ref(),
+        );
+        RuntimeFleet {
+            genesis_view: host.view.clone(),
+            host,
             factory,
-            nodes,
-            snapshots: Arc::new(
-                (0..total)
-                    .map(|_| Mutex::new(NodeSnapshot::default()))
-                    .collect(),
-            ),
-            progress: Arc::new(Progress::new(total)),
-            net_root: root.fork("rtnet"),
+            net_root: SimRng::new(seed).fork("rtnet"),
+            config,
         }
     }
 
     /// A clonable handle for observing the fleet while (or after) it
     /// runs.
     pub fn stats(&self) -> FleetStats {
-        FleetStats {
-            snapshots: Arc::clone(&self.snapshots),
-        }
+        self.host.stats()
     }
 
     /// Runs the fleet to completion: spawns per-server and client-worker
@@ -458,23 +323,15 @@ where
     /// Returns `Err` with per-node diagnostics if the watchdog declares
     /// a stall or the run budget expires first.
     pub fn run(&mut self) -> Result<RunReport, StallReport> {
-        let cfg = self.config.clone();
-        let total = cfg.servers + cfg.clients;
-        let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let shared = Arc::new(Shared {
-            origin: Instant::now(),
-            faults: cfg.faults.clone(),
-            faults_on: std::sync::atomic::AtomicBool::new(!cfg.faults.is_noop()),
-            shutdown: Arc::clone(&shutdown),
-        });
+        let cfg = &self.config;
+        let shared = self.host.begin(cfg.crashes.len());
 
-        // Partition nodes onto workers: one per server, then clients
+        // Partition nodes onto threads: one per server, then clients
         // chunked across `client_workers` threads.
-        let nodes = std::mem::take(&mut self.nodes);
         let mut groups: Vec<Vec<Hosted<M>>> = Vec::new();
         let mut client_groups: Vec<Vec<Hosted<M>>> =
             (0..cfg.client_workers).map(|_| Vec::new()).collect();
-        for (i, h) in nodes.into_iter().enumerate() {
+        for (i, h) in self.host.take_nodes().into_iter().enumerate() {
             if i < cfg.servers {
                 groups.push(vec![h]);
             } else {
@@ -483,236 +340,89 @@ where
         }
         groups.extend(client_groups.into_iter().filter(|g| !g.is_empty()));
 
-        // One bounded inbox per worker; slot j routes to the worker
+        // One bounded inbox per thread; slot j routes to the thread
         // hosting node j.
-        type Inbox<M> = (SyncSender<Packet<M>>, Option<Receiver<Packet<M>>>);
-        let mut worker_chans: Vec<Inbox<M>> = groups
+        let (txs, rxs): (Vec<SyncSender<Packet<M>>>, Vec<_>) = groups
             .iter()
-            .map(|g| {
-                let (tx, rx) = mpsc::sync_channel(cfg.inbox_capacity * g.len());
-                (tx, Some(rx))
-            })
-            .collect();
-        let mut slots: Vec<SyncSender<Packet<M>>> = vec![worker_chans[0].0.clone(); total];
-        for (w, g) in groups.iter().enumerate() {
+            .map(|g| mpsc::sync_channel(cfg.inbox_capacity * g.len()))
+            .unzip();
+        let mut slots = vec![txs[0].clone(); cfg.servers + cfg.clients];
+        for (g, tx) in groups.iter().zip(&txs) {
             for h in g {
-                slots[h.id.0 as usize] = worker_chans[w].0.clone();
+                slots[h.id().0 as usize] = tx.clone();
             }
         }
 
         // Optional delayer thread holding back latency-sampled packets.
-        let (delayer_tx, delayer_handle) = if cfg.faults.delay_micros.is_some() {
-            let (tx, rx) = mpsc::channel::<(u64, Packet<M>)>();
-            let d_shared = Arc::clone(&shared);
-            let d_progress = Arc::clone(&self.progress);
-            let d_slots = slots.clone();
-            let h = thread::spawn(move || delayer_loop(rx, d_shared, d_progress, d_slots));
-            (Some(tx), Some(h))
+        let (delayer, delayer_handle) = if cfg.faults.delay_micros.is_some() {
+            let (tx, rx) = mpsc::channel();
+            let (shared, slots) = (Arc::clone(&shared), slots.clone());
+            (
+                Some(tx),
+                Some(thread::spawn(move || delayer_loop(rx, &shared, &slots))),
+            )
         } else {
             (None, None)
         };
 
-        // Crash schedule plumbing: one phase cell per server, a rebuild
-        // kit for each worker whose server is scheduled to crash.
-        let plane = Arc::new(CrashPlane {
-            phases: (0..cfg.servers)
-                .map(|_| AtomicU8::new(PHASE_RUNNING))
-                .collect(),
-        });
-
-        // Worker threads.
-        let mut handles: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
-        for (w, group) in groups.into_iter().enumerate() {
+        let view = Arc::new(Mutex::new(self.host.view.clone()));
+        let mut threads: Vec<JoinHandle<Vec<Hosted<M>>>> = Vec::new();
+        for (w, (group, rx)) in groups.into_iter().zip(rxs).enumerate() {
+            // Server threads come first, so thread `w < servers` hosts
+            // server `w`.
+            let crash = cfg
+                .crashes
+                .iter()
+                .find(|c| c.server == w)
+                .map(|&event| Crash {
+                    event,
+                    stage: CrashStage::Pending,
+                    mech: self.host.mech().clone(),
+                    store: cfg.store,
+                    genesis_view: self.genesis_view.clone(),
+                    factory: self.factory.clone(),
+                    view: Arc::clone(&view),
+                });
             let router = Router {
                 shared: Arc::clone(&shared),
-                progress: Arc::clone(&self.progress),
+                faults: cfg.faults.clone(),
+                rx,
                 slots: slots.clone(),
-                delayer: delayer_tx.clone(),
+                delayer: delayer.clone(),
                 rng: self.net_root.fork_indexed("worker", w as u64),
                 replay_stash: BTreeMap::new(),
+                crash,
             };
-            let rx = worker_chans[w].1.take().expect("receiver taken once");
-            let snapshots = Arc::clone(&self.snapshots);
             let hang = group
                 .iter()
-                .any(|h| cfg.faults.hang_servers.contains(&(h.id.0 as usize)));
-            let crash = group
-                .first()
-                .map(|h| h.id.0 as usize)
-                .filter(|s| *s < cfg.servers && cfg.crashes.iter().any(|c| c.server == *s))
-                .map(|s| WorkerCrash {
-                    server: s,
-                    plane: Arc::clone(&plane),
-                    kit: RespawnKit {
-                        replica: ReplicaId(s as u32),
-                        mech: self.mech.clone(),
-                        store: cfg.store,
-                        genesis_view: self.genesis_view.clone(),
-                        factory: self.factory.clone(),
-                    },
-                });
-            handles.push(thread::spawn(move || {
-                worker_loop(group, rx, router, snapshots, hang, crash)
+                .any(|h| cfg.faults.hang_servers.contains(&(h.id().0 as usize)));
+            let shared = Arc::clone(&shared);
+            threads.push(thread::spawn(move || {
+                if !hang {
+                    return host::serve(group, router, &shared);
+                }
+                // A wedged thread: never starts its nodes, never drains
+                // its inbox. Exists to prove the watchdog fires.
+                while !shared.shutdown.load(Ordering::Relaxed) {
+                    thread::sleep(StdDuration::from_millis(5));
+                }
+                group
             }));
         }
 
-        // Stall watchdog.
-        let report_slot: Arc<Mutex<Option<StallReport>>> = Arc::new(Mutex::new(None));
-        let wd_handle = {
-            let progress = Arc::clone(&self.progress);
-            let wd_shutdown = Arc::clone(&shutdown);
-            let slot = Arc::clone(&report_slot);
-            let origin = shared.origin;
-            let clients = cfg.clients as u64;
-            let budget = cfg.stall_budget;
-            let poll = cfg.watchdog_poll;
-            thread::spawn(move || {
-                watchdog::supervise(progress, wd_shutdown, slot, origin, clients, budget, poll)
-            })
+        let budgets = Budgets {
+            stall: cfg.stall_budget,
+            watchdog_poll: cfg.watchdog_poll,
+            run: cfg.run_budget,
+            quiesce: cfg.quiesce,
+            settle_window: cfg.settle_window,
         };
-
-        // Wait for completion, a stall, or the run budget, driving the
-        // crash schedule as its deadlines come due.
-        let started = Instant::now();
-        let mut stages = vec![CrashStage::Pending; cfg.crashes.len()];
-        let mut elapsed = None;
-        loop {
-            drive_crash_schedule(
-                &cfg.crashes,
-                &mut stages,
-                started,
-                &plane,
-                &self.progress,
-                &slots,
-                &mut self.view,
-            );
-            if self.progress.stalled.load(Ordering::Relaxed) {
-                break;
-            }
-            if self.progress.done_clients.load(Ordering::Relaxed) >= cfg.clients as u64 {
-                elapsed = Some(started.elapsed());
-                break;
-            }
-            if started.elapsed() > cfg.run_budget {
-                break;
-            }
-            thread::sleep(StdDuration::from_millis(2));
-        }
-
-        let stalled = self.progress.stalled.load(Ordering::Relaxed);
-        if elapsed.is_some() {
-            // Successful run: quiesce with faults off so in-flight
-            // repairs, handoffs and AAE rounds land on a clean network.
-            // Exit early once repair activity has been still for the
-            // settle window — anti-entropy keeps gossiping forever, so
-            // "done" is a quiet repair ledger, not a quiet wire.
-            shared.faults_on.store(false, Ordering::Relaxed);
-            let settle_started = Instant::now();
-            let (mut last_sig, mut rounds_floor) = self.settle_probe();
-            let mut still_since = Instant::now();
-            // A crash schedule still in flight (a respawn landing after
-            // the last client finished) keeps the quiesce open past its
-            // nominal budget — the respawned node must rejoin and be
-            // repaired before the fleet is inspected.
-            let mut schedule_done = drive_crash_schedule(
-                &cfg.crashes,
-                &mut stages,
-                started,
-                &plane,
-                &self.progress,
-                &slots,
-                &mut self.view,
-            );
-            while (settle_started.elapsed() < cfg.quiesce || !schedule_done)
-                && started.elapsed() <= cfg.run_budget
-            {
-                thread::sleep(StdDuration::from_millis(50));
-                schedule_done = drive_crash_schedule(
-                    &cfg.crashes,
-                    &mut stages,
-                    started,
-                    &plane,
-                    &self.progress,
-                    &slots,
-                    &mut self.view,
-                );
-                let (sig, rounds) = self.settle_probe();
-                if sig != last_sig {
-                    last_sig = sig;
-                    rounds_floor = rounds;
-                    still_since = Instant::now();
-                } else if schedule_done
-                    && still_since.elapsed() >= cfg.settle_window
-                    && rounds >= rounds_floor + SETTLE_CLEAN_ROUNDS
-                {
-                    // Quiet for the window *and* every server has since
-                    // initiated several divergence-free AAE rounds — the
-                    // stillness reflects convergence, not CPU starvation.
-                    break;
-                }
-            }
-        }
-        shared.shutdown.store(true, Ordering::Relaxed);
-
-        let mut returned: Vec<Hosted<M>> = Vec::with_capacity(total);
-        for h in handles {
-            returned.extend(h.join().expect("worker thread panicked"));
-        }
+        let report = self.host.run(&shared, threads, &budgets);
         if let Some(h) = delayer_handle {
             h.join().expect("delayer thread panicked");
         }
-        wd_handle.join().expect("watchdog thread panicked");
-        returned.sort_by_key(|h| h.id.0);
-        self.nodes = returned;
-
-        if stalled {
-            let report = report_slot
-                .lock()
-                .expect("watchdog slot")
-                .take()
-                .expect("stall implies report");
-            return Err(report);
-        }
-        match elapsed {
-            Some(elapsed) => Ok(RunReport {
-                elapsed,
-                ops_ok: self.progress.ops_ok.load(Ordering::Relaxed),
-                all_done: true,
-            }),
-            None => Err(watchdog::diagnose(
-                &self.progress,
-                shared.origin,
-                cfg.run_budget,
-            )),
-        }
-    }
-
-    /// Fold of the live repair counters (changes while AAE repairs,
-    /// read repairs, handoffs or transfers are still landing), plus the
-    /// minimum per-server count of *initiated* AAE rounds — the settle
-    /// loop uses the latter to require actual clean rounds, not just
-    /// elapsed quiet time.
-    fn settle_probe(&self) -> ((u64, u64, u64, u64), u64) {
-        let mut sig = (0u64, 0u64, 0u64, 0u64);
-        let mut min_rounds = u64::MAX;
-        for i in 0..self.config.servers {
-            let snap = self.snapshots[i].lock().expect("snapshot lock");
-            if let Some(s) = snap.server {
-                sig.0 += s.aae_divergent;
-                sig.1 += s.read_repairs;
-                sig.2 += s.handoffs;
-                sig.3 += s.transfers_in + s.transfers_out;
-                min_rounds = min_rounds.min(s.aae_rounds);
-            }
-        }
-        (
-            sig,
-            if min_rounds == u64::MAX {
-                0
-            } else {
-                min_rounds
-            },
-        )
+        self.host.view = view.lock().expect("view lock").clone();
+        report
     }
 
     // ---- post-run inspection (Cluster-equivalent surface) ----
@@ -723,11 +433,7 @@ where
     ///
     /// Panics if `i` is not a server index.
     pub fn server(&self, i: usize) -> &StoreNode<M> {
-        assert!(i < self.config.servers, "node {i} is not a server");
-        match &self.nodes[i].proc_ {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => unreachable!("layout: servers first"),
-        }
+        self.host.server(i)
     }
 
     /// Read access to client `j`'s session node.
@@ -736,21 +442,17 @@ where
     ///
     /// Panics if `j` is not a client index.
     pub fn client(&self, j: usize) -> &ClientNode<M> {
-        assert!(j < self.config.clients, "client {j} out of range");
-        match &self.nodes[self.config.servers + j].proc_ {
-            StoreProc::Client(c) => c,
-            StoreProc::Server(_) => unreachable!("layout: clients after servers"),
-        }
+        self.host.client(j)
     }
 
     /// Number of replica servers.
     pub fn server_count(&self) -> usize {
-        self.config.servers
+        self.host.servers()
     }
 
     /// Number of client sessions.
     pub fn client_count(&self) -> usize {
-        self.config.clients
+        self.host.clients()
     }
 
     /// Mutable access to server `i`'s store node (harness convergence).
@@ -759,11 +461,7 @@ where
     ///
     /// Panics if `i` is not a server index.
     pub fn server_mut(&mut self, i: usize) -> &mut StoreNode<M> {
-        assert!(i < self.config.servers, "node {i} is not a server");
-        match &mut self.nodes[i].proc_ {
-            StoreProc::Server(s) => s,
-            StoreProc::Client(_) => unreachable!("layout: servers first"),
-        }
+        self.host.server_mut(i)
     }
 }
 
@@ -781,318 +479,31 @@ where
     M::Context: Send,
 {
     fn mechanism(&self) -> &M {
-        &self.mech
+        self.host.mech()
     }
 
     fn member_servers(&self) -> Vec<usize> {
-        (0..self.config.servers).collect()
+        (0..self.host.servers()).collect()
     }
 
     fn client_count(&self) -> usize {
-        self.config.clients
+        self.host.clients()
     }
 
     fn server_ref(&self, i: usize) -> &StoreNode<M> {
-        self.server(i)
+        self.host.server(i)
     }
 
     fn server_mut_ref(&mut self, i: usize) -> &mut StoreNode<M> {
-        self.server_mut(i)
+        self.host.server_mut(i)
     }
 
     fn client_ref(&self, j: usize) -> &ClientNode<M> {
-        self.client(j)
+        self.host.client(j)
     }
 
     fn audit_view(&self) -> &RingView<ReplicaId> {
-        &self.view
-    }
-}
-
-fn worker_loop<M: Mechanism<StampedValue>>(
-    mut hosted: Vec<Hosted<M>>,
-    rx: Receiver<Packet<M>>,
-    mut router: Router<M>,
-    snapshots: Arc<Vec<Mutex<NodeSnapshot>>>,
-    hang: bool,
-    crash: Option<WorkerCrash<M>>,
-) -> Vec<Hosted<M>> {
-    if hang {
-        // A wedged worker: never starts its nodes, never drains its
-        // inbox. Exists to prove the watchdog fires.
-        while !router.shared.shutdown.load(Ordering::Relaxed) {
-            thread::sleep(StdDuration::from_millis(5));
-        }
-        return hosted;
-    }
-
-    for h in &mut hosted {
-        dispatch(h, Ev::Start, &mut router, &snapshots);
-    }
-
-    loop {
-        if router.shared.shutdown.load(Ordering::Relaxed) {
-            return hosted;
-        }
-
-        // Execute any pending crash-schedule order for this worker's
-        // server (server groups host exactly one node). The kill drops
-        // the node — in-memory state and the engine's unsynced buffer
-        // are gone, like a power cut — and parks an inert husk in the
-        // slot; the respawn rebuilds from the kit in this same thread.
-        let mut down = false;
-        if let Some(c) = &crash {
-            match c.plane.phases[c.server].load(Ordering::Acquire) {
-                PHASE_KILL => {
-                    let h = &mut hosted[0];
-                    h.proc_ = StoreProc::Server(StoreNode::dormant(
-                        c.kit.replica,
-                        c.kit.mech.clone(),
-                        c.kit.store,
-                        c.kit.genesis_view.clone(),
-                    ));
-                    h.wheel = TimerWheel::new();
-                    c.plane.phases[c.server].store(PHASE_DOWN, Ordering::Release);
-                    down = true;
-                }
-                PHASE_DOWN => down = true,
-                PHASE_RESPAWN => {
-                    let engine: Box<dyn StorageEngine<M::State>> = match &c.kit.factory {
-                        Some(f) => f.build(c.server),
-                        None => Box::new(MemEngine::new()),
-                    };
-                    let h = &mut hosted[0];
-                    h.proc_ = StoreProc::Server(StoreNode::with_engine(
-                        c.kit.replica,
-                        c.kit.mech.clone(),
-                        c.kit.store,
-                        c.kit.genesis_view.clone(),
-                        engine,
-                    ));
-                    h.wheel = TimerWheel::new();
-                    c.plane.phases[c.server].store(PHASE_RUNNING, Ordering::Release);
-                }
-                _ => {}
-            }
-        }
-
-        // Fire everything due, repeatedly: a timer handler may arm
-        // another timer already due.
-        let mut fired = true;
-        while fired {
-            fired = false;
-            let now_us = router.shared.now_us();
-            for h in &mut hosted {
-                while let Some(t) = h.wheel.pop_due(now_us) {
-                    dispatch(h, Ev::Timer(t), &mut router, &snapshots);
-                    fired = true;
-                }
-            }
-        }
-
-        // Sleep until the next timer or the next packet, whichever
-        // comes first (capped so shutdown is noticed promptly).
-        let now_us = router.shared.now_us();
-        let mut next: Option<u64> = None;
-        for h in &mut hosted {
-            if let Some(d) = h.wheel.next_due() {
-                next = Some(next.map_or(d, |n| n.min(d)));
-            }
-        }
-        let wait = match next {
-            Some(d) if d <= now_us => StdDuration::ZERO,
-            Some(d) => StdDuration::from_micros((d - now_us).min(20_000)),
-            None => StdDuration::from_millis(20),
-        };
-
-        let first = if wait.is_zero() {
-            rx.try_recv().ok()
-        } else {
-            match rx.recv_timeout(wait) {
-                Ok(p) => Some(p),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => return hosted,
-            }
-        };
-        if let Some(first) = first {
-            if down {
-                // A dead server's inbox drains onto the floor: the
-                // depth accounting stays honest, the packets are lost
-                // (a crashed box answers nothing).
-                discard_packet(&router, &first);
-                while let Ok(p) = rx.try_recv() {
-                    discard_packet(&router, &p);
-                }
-            } else {
-                dispatch_packet(&mut hosted, first, &mut router, &snapshots);
-                // Drain whatever else arrived while we worked.
-                while let Ok(p) = rx.try_recv() {
-                    dispatch_packet(&mut hosted, p, &mut router, &snapshots);
-                }
-            }
-        }
-    }
-}
-
-/// Drops a packet addressed to a crashed server, keeping the inbox
-/// depth counter honest.
-fn discard_packet<M: Mechanism<StampedValue>>(router: &Router<M>, pkt: &Packet<M>) {
-    router.progress.inbox_depth[pkt.to.0 as usize].fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Advances every scheduled crash through its
-/// Pending → Killed → Respawning → Done stages as deadlines come due.
-/// Kills and rebuilds happen on the owning worker thread (via the
-/// phase cells); what happens *here* is the control-plane half: the
-/// expected-down flag for the watchdog, and — once the worker reports
-/// the rebuilt node running — the fresh `Up` incarnation and the
-/// in-band [`Msg::Rejoin`] that re-arms its timers and lets gossip
-/// spread the re-admission. No harness view synchronisation.
-/// Returns whether every event has completed.
-#[allow(clippy::too_many_arguments)]
-fn drive_crash_schedule<M: Mechanism<StampedValue>>(
-    crashes: &[CrashEvent],
-    stages: &mut [CrashStage],
-    started: Instant,
-    plane: &CrashPlane,
-    progress: &Progress,
-    slots: &[SyncSender<Packet<M>>],
-    view: &mut RingView<ReplicaId>,
-) -> bool {
-    let elapsed = started.elapsed();
-    for (c, stage) in crashes.iter().zip(stages.iter_mut()) {
-        match *stage {
-            CrashStage::Pending if elapsed >= c.kill_after => {
-                progress.set_expected_down(c.server, true);
-                plane.phases[c.server].store(PHASE_KILL, Ordering::Release);
-                *stage = CrashStage::Killed;
-            }
-            // Only order the respawn once the worker has actually
-            // performed the kill (DOWN), so the two orders cannot
-            // collapse into none.
-            CrashStage::Killed
-                if elapsed >= c.respawn_after
-                    && plane.phases[c.server]
-                        .compare_exchange(
-                            PHASE_DOWN,
-                            PHASE_RESPAWN,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok() =>
-            {
-                *stage = CrashStage::Respawning;
-            }
-            CrashStage::Respawning
-                if plane.phases[c.server].load(Ordering::Acquire) == PHASE_RUNNING =>
-            {
-                view.bump(&ReplicaId(c.server as u32), MemberStatus::Up);
-                let rejoin = Packet {
-                    from: NodeId(c.server as u32),
-                    to: NodeId(c.server as u32),
-                    msg: Msg::Rejoin { view: view.clone() },
-                };
-                deliver(progress, slots, rejoin);
-                progress.set_expected_down(c.server, false);
-                *stage = CrashStage::Done;
-            }
-            _ => {}
-        }
-    }
-    stages.iter().all(|s| *s == CrashStage::Done)
-}
-
-fn dispatch_packet<M: Mechanism<StampedValue>>(
-    hosted: &mut [Hosted<M>],
-    pkt: Packet<M>,
-    router: &mut Router<M>,
-    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
-) {
-    router.progress.inbox_depth[pkt.to.0 as usize].fetch_sub(1, Ordering::Relaxed);
-    let Some(h) = hosted.iter_mut().find(|h| h.id == pkt.to) else {
-        return;
-    };
-    dispatch(
-        h,
-        Ev::Message {
-            from: pkt.from,
-            msg: pkt.msg,
-        },
-        router,
-        snapshots,
-    );
-}
-
-/// Runs one event through a hosted node and applies its effects: armed
-/// timers to the wheel, cancelled timers out of it, outbound messages
-/// into the fabric, fresh counters into the progress atomics and the
-/// node's snapshot.
-fn dispatch<M: Mechanism<StampedValue>>(
-    h: &mut Hosted<M>,
-    ev: Ev<M>,
-    router: &mut Router<M>,
-    snapshots: &Arc<Vec<Mutex<NodeSnapshot>>>,
-) {
-    let now = SimTime::from_micros(router.shared.now_us());
-    let (mech, header_bytes) = match &h.proc_ {
-        StoreProc::Server(s) => (s.mech().clone(), s.header_bytes()),
-        StoreProc::Client(c) => (c.mech().clone(), c.header_bytes()),
-    };
-    let mut ctx = RtCtx::new(h.id, now, &mut h.rng, mech, header_bytes, &mut h.next_timer);
-    match (&mut h.proc_, ev) {
-        (StoreProc::Server(s), Ev::Start) => s.on_start(&mut ctx),
-        (StoreProc::Server(s), Ev::Message { from, msg }) => s.on_message(&mut ctx, from, msg),
-        (StoreProc::Server(s), Ev::Timer(t)) => s.on_timer(&mut ctx, t),
-        (StoreProc::Client(c), Ev::Start) => c.on_start(&mut ctx),
-        (StoreProc::Client(c), Ev::Message { from, msg }) => c.on_message(&mut ctx, from, msg),
-        (StoreProc::Client(c), Ev::Timer(t)) => c.on_timer(&mut ctx, t),
-    }
-    let RtCtx {
-        outbox,
-        timer_sets,
-        timer_cancels,
-        ..
-    } = ctx;
-    for (due, t) in timer_sets {
-        h.wheel.schedule(due, t);
-    }
-    for t in timer_cancels {
-        h.wheel.cancel(t);
-    }
-    for (to, msg) in outbox {
-        router.route(h.id, to, msg);
-    }
-
-    // Progress + snapshot bookkeeping.
-    let id = h.id.0 as usize;
-    router.progress.events[id].fetch_add(1, Ordering::Relaxed);
-    router.progress.last_event_micros[id].store(now.as_micros().max(1), Ordering::Relaxed);
-    let mut snap = snapshots[id].lock().expect("snapshot lock");
-    snap.events += 1;
-    match &h.proc_ {
-        StoreProc::Server(s) => {
-            snap.wire = s.wire_stats();
-            snap.server = Some(s.stats());
-        }
-        StoreProc::Client(c) => {
-            snap.wire = c.wire_stats();
-            let stats = c.stats();
-            let ops = stats.get_latency.count() + stats.put_latency.count();
-            if ops > h.last_ops {
-                router
-                    .progress
-                    .ops_ok
-                    .fetch_add(ops - h.last_ops, Ordering::Relaxed);
-                h.last_ops = ops;
-            }
-            snap.ops_ok = ops;
-            snap.cycles_done = c.cycles_done();
-            snap.done = c.is_done();
-            if c.is_done() && !h.was_done {
-                h.was_done = true;
-                router.progress.done_clients.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        &self.host.view
     }
 }
 
@@ -1101,21 +512,17 @@ fn dispatch<M: Mechanism<StampedValue>>(
 /// delay window.
 fn delayer_loop<M: Mechanism<StampedValue>>(
     rx: Receiver<(u64, Packet<M>)>,
-    shared: Arc<Shared>,
-    progress: Arc<Progress>,
-    slots: Vec<SyncSender<Packet<M>>>,
+    shared: &Shared,
+    slots: &[SyncSender<Packet<M>>],
 ) {
     let mut wheel: TimerWheel<u64> = TimerWheel::new();
     let mut parked: BTreeMap<u64, Packet<M>> = BTreeMap::new();
     let mut seq = 0u64;
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
+    while !shared.shutdown.load(Ordering::Relaxed) {
         let now = shared.now_us();
         while let Some(s) = wheel.pop_due(now) {
             if let Some(p) = parked.remove(&s) {
-                deliver(&progress, &slots, p);
+                deliver(&shared.progress, slots, p);
             }
         }
         let wait_us = wheel

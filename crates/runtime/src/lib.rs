@@ -1,14 +1,20 @@
 //! # runtime — the kvstore protocol on real threads
 //!
 //! The deterministic simulator (`simnet`) is one driver for the store's
-//! protocol logic; this crate is the other. The *same*
-//! [`StoreNode`](kvstore::node::StoreNode) and
+//! protocol logic; the real drivers share this crate's [`host`]. The
+//! *same* [`StoreNode`](kvstore::node::StoreNode) and
 //! [`ClientNode`](kvstore::client::ClientNode) code — written against
-//! [`kvstore::ctx::NodeCtx`] — runs here on std threads and mpsc
-//! channels (no async runtime, nothing vendored beyond std):
+//! [`kvstore::ctx::NodeCtx`] — runs here on std threads (no async
+//! runtime, nothing vendored beyond std):
 //!
-//! * one event-loop thread per server, clients partitioned across a
-//!   configurable number of worker threads (the bench's 1/4/8 knob);
+//! * one host ([`host`]): the fleet layout, the node-thread event loop
+//!   and the run supervisor, written once. A driver supplies only its
+//!   [`Wire`](host::Wire) — how messages leave a thread and how the
+//!   thread waits for input. [`RuntimeFleet`] wires threads with
+//!   bounded in-process channels; the `transport` crate's `SocketFleet`
+//!   wires them with loopback TCP;
+//! * one thread per server, clients partitioned across a configurable
+//!   number of worker threads (the bench's 1/4/8 knob);
 //! * bounded inboxes — a full inbox is wire loss, which the protocol's
 //!   timeouts, retries and anti-entropy already absorb, so no
 //!   backpressure deadlock is possible;
@@ -34,13 +40,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod fleet;
-pub mod rtctx;
+pub mod host;
+mod rtctx;
 pub mod watchdog;
 pub mod wheel;
 
-pub use fleet::{FleetStats, NodeSnapshot, RunReport, RuntimeFleet};
+pub use fleet::RuntimeFleet;
+pub use host::{FleetStats, NodeSnapshot, RunReport};
 pub use kvstore::cluster::EngineFactory;
-pub use rtctx::RtCtx;
 pub use watchdog::{NodeDiag, Progress, StallReport};
 pub use wheel::TimerWheel;
 

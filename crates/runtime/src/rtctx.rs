@@ -1,12 +1,13 @@
-//! [`RtCtx`]: the threaded runtime's implementation of
-//! [`kvstore::ctx::NodeCtx`].
+//! [`RtCtx`]: the host's implementation of [`kvstore::ctx::NodeCtx`],
+//! shared by the threaded and the socket driver.
 //!
 //! One `RtCtx` is stacked up per dispatched event (a start, an inbound
 //! message, or a timer fire). During the dispatch it buffers everything
 //! the node asked for — outbound messages, timer arms, timer cancels —
-//! and the hosting worker thread applies the effects afterwards: timers
-//! go into the node's [`TimerWheel`](crate::wheel::TimerWheel), messages
-//! are routed through the shared (optionally lossy/laggy) channel layer.
+//! and the [`host`](crate::host) applies the effects afterwards: timers
+//! go into the node's [`TimerWheel`](crate::wheel::TimerWheel),
+//! self-sends into the thread's local queue, every other message onto
+//! the driver's wire.
 //!
 //! Buffering instead of sending inline keeps the dispatch borrow-simple
 //! and mirrors the simulator's collect-then-apply structure, so message
@@ -90,10 +91,5 @@ impl<M: Mechanism<StampedValue>> NodeCtx<M> for RtCtx<'_, M> {
 
     fn cancel_timer(&mut self, timer: TimerId) {
         self.timer_cancels.push(timer);
-    }
-
-    fn note(&mut self, _text: String) {
-        // The runtime keeps no trace log; notes are a simulator
-        // debugging aid.
     }
 }

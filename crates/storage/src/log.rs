@@ -42,8 +42,9 @@
 //! file) measures garbage exactly. When the file exceeds
 //! [`LogConfig::compact_min_bytes`] and the garbage fraction exceeds
 //! [`LogConfig::compact_garbage_ratio`], the engine rewrites the live
-//! records to a fresh file and atomically renames it over the log —
-//! rewriting the live set, truncating the dead tail.
+//! records to a fresh file, atomically renames it over the log and
+//! fsyncs the directory before the next append — rewriting the live
+//! set, truncating the dead tail.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -578,6 +579,10 @@ where
             f.write_all(&buf)?;
             f.sync_data()?;
             std::fs::rename(&tmp, &self.path)?;
+            // Until the directory entry is durable, a power cut can
+            // leave the path naming the old file — and every append
+            // synced into the new one after this point would be lost.
+            sync_parent_dir(&self.path)?;
             f.seek(SeekFrom::End(0))?;
             Ok(f)
         })();
@@ -587,6 +592,16 @@ where
         self.live_bytes = self.durable_bytes;
         self.stats.compactions += 1;
     }
+}
+
+/// Fsyncs the directory holding `path`, making a rename into it
+/// durable.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir)?.sync_all()
 }
 
 impl<S> StorageEngine<S> for LogEngine<S>

@@ -7,9 +7,11 @@
 //! real wire codec ([`kvstore::messages::Msg::encode_transport`]),
 //! frames it ([`frame`]) and ships it over loopback TCP connections
 //! managed by a reconnecting connection layer ([`fabric`]) that each
-//! node's own thread drives through `poll(2)`. The
-//! protocol code is byte-for-byte the same in all three drivers; only
-//! the [`kvstore::ctx::NodeCtx`] effects interpreter differs.
+//! node's own thread drives through `poll(2)`. The protocol code is
+//! byte-for-byte the same in all three drivers, and the two real ones
+//! share one host (`runtime::host`): its event loop, its
+//! [`kvstore::ctx::NodeCtx`] implementation and its run supervisor.
+//! Only the wire differs — this crate's is the socket one.
 //!
 //! Failure semantics deliberately mirror the in-process drivers: a full
 //! outbound buffer or full inbox drops the message (wire loss the

@@ -56,6 +56,7 @@ if runs_lane build-test; then
     cargo bench --no-run
     cargo clippy --all-targets -- -D warnings
     cargo fmt --all --check
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if runs_lane elastic; then
@@ -75,6 +76,7 @@ fi
 if runs_lane runtime; then
     banner "runtime"
     cargo test -p runtime --test timer_order -- --nocapture
+    cargo test -p runtime --test host -- --nocapture
     cargo test -p runtime --test watchdog -- --nocapture
     cargo test -p runtime --test conformance -- --nocapture
 fi
@@ -86,7 +88,6 @@ if runs_lane socket; then
     cargo test -p transport --test conformance -- --nocapture
     cargo test -p transport --test lifecycle -- --nocapture
     cargo test -p transport --test bounds --test threads -- --nocapture
-    cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if runs_lane storage; then
